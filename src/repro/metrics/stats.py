@@ -80,9 +80,8 @@ def percentile(values: Sequence[float], q: float) -> float:
         high = int(math.ceil(rank))
         if low == high:
             return float(ordered[low])
-        weight = rank - low
         # Same expression (and operand order) as the scalar branch.
-        return float(ordered[low]) * (1 - weight) + float(ordered[high]) * weight
+        return _interpolate(float(ordered[low]), float(ordered[high]), rank - low)
     ordered = sorted(values)
     if n == 1:
         return ordered[0]
@@ -91,8 +90,18 @@ def percentile(values: Sequence[float], q: float) -> float:
     high = int(math.ceil(rank))
     if low == high:
         return ordered[low]
-    weight = rank - low
-    return ordered[low] * (1 - weight) + ordered[high] * weight
+    return _interpolate(ordered[low], ordered[high], rank - low)
+
+
+def _interpolate(lo: float, hi: float, weight: float) -> float:
+    """``lo*(1-w) + hi*w``, clamped to ``[lo, hi]``.
+
+    The products can round outside the bracketing pair — subnormal
+    inputs underflow to 0.0 (``5e-324 * 0.5``) — and a percentile must
+    never leave the range of the two order statistics it interpolates.
+    """
+    value = lo * (1 - weight) + hi * weight
+    return min(max(value, lo), hi)
 
 
 def median(values: Sequence[float]) -> float:

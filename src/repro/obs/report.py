@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cProfile
 import functools
+import gc
 import io
 import json
 import platform
@@ -230,11 +231,52 @@ def write_campaign_manifest(manifest: Dict, path: str) -> None:
         handle.write("\n")
 
 
+class GcPauses:
+    """A ``gc.callbacks`` hook counting collections and their pause time.
+
+    cProfile charges a cyclic-GC pause to whichever allocation happened
+    to trigger it, so collections hide inside innocent-looking
+    constructors; this tally makes them a line of their own.
+    """
+
+    def __init__(self) -> None:
+        #: Collections finished, indexed by generation (0, 1, 2).
+        self.collections = [0, 0, 0]
+        #: Total wall seconds spent inside collections.
+        self.pause_s = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.pause_s += time.perf_counter() - self._started
+            self.collections[info["generation"]] += 1
+
+    def summary(self) -> str:
+        gen0, gen1, gen2 = self.collections
+        return (
+            f"gc: {gen0}/{gen1}/{gen2} collections (gen0/gen1/gen2), "
+            f"{self.pause_s:.3f}s paused"
+        )
+
+
 def profile_call(fn, *args, top: int = 20, **kwargs):
-    """Run ``fn`` under cProfile; returns ``(result, summary_text)``."""
+    """Run ``fn`` under cProfile; returns ``(result, summary_text)``.
+
+    The summary opens with the call's garbage-collector tally
+    (:class:`GcPauses`, installed for this call only), then the
+    cProfile table.
+    """
     profiler = cProfile.Profile()
-    result = profiler.runcall(fn, *args, **kwargs)
+    pauses = GcPauses()
+    gc.callbacks.append(pauses)
+    try:
+        result = profiler.runcall(fn, *args, **kwargs)
+    finally:
+        gc.callbacks.remove(pauses)
     stream = io.StringIO()
+    stream.write(pauses.summary() + "\n")
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(top)
     return result, stream.getvalue()

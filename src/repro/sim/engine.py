@@ -253,6 +253,15 @@ class Simulator:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, EventHandle]] = []
         self._sequence = itertools.count()
+        #: ``reserve_seq()`` takes the next tie-break sequence number
+        #: without scheduling: together with :meth:`schedule_reserved`
+        #: it lets a caller fix an event's heap key ``(time, seq)`` now
+        #: and push it later. An event reserved here and pushed before
+        #: anything could pop after it fires exactly where a
+        #: :meth:`schedule` call made at reservation time would have
+        #: put it. It is the counter's own ``__next__``, so a
+        #: reservation costs no Python frame.
+        self.reserve_seq: Callable[[], int] = self._sequence.__next__
         self._stopped = False
         #: Cancelled entries still sitting in the heap as tombstones.
         #: ``pending_events`` is ``len(heap) - this`` — maintained on
@@ -296,6 +305,22 @@ class Simulator:
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``callback(*args)`` at absolute simulated time ``time``."""
         return self.schedule(time - self.now, callback, *args)
+
+    def schedule_reserved(
+        self, time: float, seq: int, callback: Callable[..., Any], *args: Any
+    ) -> EventHandle:
+        """Run ``callback(*args)`` at absolute ``time`` under a reserved ``seq``.
+
+        ``seq`` must come from ``reserve_seq()`` and be pushed once.
+        The caller must push the entry before the engine could pop any
+        entry ordered after ``(time, seq)`` — e.g. a FIFO whose keys
+        strictly increase pushes each entry when its predecessor fires.
+        """
+        if time < self.now:
+            raise SimulationError(f"cannot schedule in the past (time={time}, now={self.now})")
+        handle = EventHandle(self, time, callback, args, seq)
+        heapq.heappush(self._heap, (time, seq, handle))
+        return handle
 
     def event(self) -> Event:
         """Create a fresh (untriggered) :class:`Event`."""
@@ -421,7 +446,11 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) scheduled events.
+        """Number of live (non-cancelled) scheduled events on the heap.
+
+        Counts heap entries only: events whose key is reserved but not
+        yet pushed (``reserve_seq()``) are invisible here — the PHY's
+        queued frames, for example, are reported as ``phy.air_backlog``.
 
         O(1): the heap length minus the tombstone count, maintained on
         cancel and tombstone-pop only — the metrics registry samples

@@ -39,6 +39,14 @@ class TestStats:
     def test_percentile_interpolates(self):
         assert percentile([0, 10], 50) == 5.0
 
+    @pytest.mark.parametrize("n", [2, stats._BATCH_MIN])
+    def test_percentile_of_subnormals_stays_in_range(self, n):
+        # 5e-324 * 0.75 rounds to 0.0; the interpolation must clamp
+        # back to the bracketing order statistics (pure and numpy paths).
+        tiny = 5e-324
+        for q in (25, 50, 75):
+            assert percentile([tiny] * n, q) == tiny
+
     def test_percentile_rejects_bad_q(self):
         with pytest.raises(ValueError):
             percentile([1], 101)

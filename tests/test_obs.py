@@ -6,6 +6,7 @@ end-to-end fig6 run whose DHCP trace must tell a causally ordered
 send → timeout → bind story.
 """
 
+import gc
 import json
 import tracemalloc
 
@@ -246,6 +247,13 @@ class TestProvenance:
         result, text = profile_call(sum, [1, 2, 3])
         assert result == 6
         assert "cumulative" in text
+        assert text.startswith("gc: ")
+
+    def test_profile_call_counts_a_forced_collection(self):
+        _, text = profile_call(gc.collect)
+        gen2 = int(text.split()[1].split("/")[2])
+        assert gen2 >= 1
+        assert "s paused" in text.splitlines()[0]
 
 
 @pytest.mark.slow

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import (
     Interrupted,
@@ -328,3 +330,83 @@ class TestPendingEventsBookkeeping:
         cancelled.cancel()
         sim.run()
         assert sim.events_executed == 5
+
+
+def _run_script(ops, parents, reserved):
+    """Run one event script; chained ops reserve their key when issued.
+
+    ``ops[i] = (delay, chained)``; op ``i`` is issued at t=0 when
+    ``parents[i] == -1``, else when event ``parents[i]`` fires. Chained
+    ops form one FIFO whose times never decrease. With ``reserved``
+    the FIFO keeps only its head on the heap (``reserve_seq`` when
+    issued, ``schedule_reserved`` when the predecessor fires);
+    without, every op is a plain ``schedule`` call.
+    """
+    sim = Simulator()
+    log = []
+    children = {}
+    for op, parent in enumerate(parents):
+        children.setdefault(parent, []).append(op)
+    fifo = {"tail": 0.0, "on_heap": False, "backlog": []}
+
+    def fire(op):
+        log.append((sim.now, op))
+        issue(children.get(op, ()))
+
+    def fire_chained(op):
+        if fifo["backlog"]:
+            time, seq, nxt = fifo["backlog"].pop(0)
+            sim.schedule_reserved(time, seq, fire_chained, nxt)
+        else:
+            fifo["on_heap"] = False
+        fire(op)
+
+    def issue(batch):
+        for op in batch:
+            delay, chained = ops[op]
+            if not chained:
+                sim.schedule(delay, fire, op)
+                continue
+            end = max(fifo["tail"], sim.now) + delay
+            fifo["tail"] = end
+            if not reserved:
+                sim.schedule(end - sim.now, fire, op)
+            elif fifo["on_heap"]:
+                fifo["backlog"].append((sim.now + (end - sim.now), sim.reserve_seq(), op))
+            else:
+                fifo["on_heap"] = True
+                sim.schedule(end - sim.now, fire_chained, op)
+
+    issue(children.get(-1, ()))
+    sim.run()
+    return log, sim.events_executed
+
+
+class TestReservedKeys:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_reserved_fifo_pops_like_plain_schedule(self, data):
+        ops = data.draw(st.lists(
+            st.tuples(st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.booleans()),
+            min_size=1, max_size=40,
+        ))
+        parents = [data.draw(st.integers(-1, op - 1)) for op in range(len(ops))]
+        assert _run_script(ops, parents, reserved=True) == _run_script(
+            ops, parents, reserved=False
+        )
+
+    def test_reserved_key_orders_against_later_schedules(self):
+        sim = Simulator()
+        log = []
+        seq = sim.reserve_seq()
+        sim.schedule(1.0, log.append, "scheduled after the reservation")
+        sim.schedule_reserved(1.0, seq, log.append, "reserved first")
+        sim.run()
+        assert log == ["reserved first", "scheduled after the reservation"]
+
+    def test_schedule_reserved_rejects_the_past(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule_reserved(0.5, sim.reserve_seq(), lambda: None)
