@@ -72,10 +72,11 @@ class AccessPoint:
         self.name = name
         self.channel = channel
         self.config = config or ApConfig()
-        # Fallback seed must not use hash(): str hashing is salted per
-        # process, so worker-pool runs would disagree with inline runs.
-        fallback_seed = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
-        self._rng = rng or random.Random(fallback_seed)
+        if rng is None:
+            # Fallback seed must not use hash(): str hashing is salted per
+            # process, so worker-pool runs would disagree with inline runs.
+            rng = random.Random(int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big"))
+        self._rng = rng
         self.radio = Radio(medium, StaticMobility(position), channel, name=name, address=name)
         self.radio.on_receive = self._on_frame
         self.radio.on_unicast_failure = self._on_tx_failure

@@ -6,7 +6,9 @@ Subcommands:
 - ``show NAME|SPEC.toml`` — print the fully-resolved spec as TOML
   (what ``run`` would execute, after overrides);
 - ``run NAME|SPEC.toml`` — build the world, run the declared fleet,
-  print per-driver summaries;
+  print per-driver summaries; ``--profile`` runs it in-process under
+  cProfile (no exec layer, no cache) and then prints the call's
+  garbage-collector tally and hotspots;
 - ``sweep NAME|SPEC.toml --seeds 1,2,3`` — the same spec across seeds.
 
 ``run`` and ``sweep`` execute through ``repro.exec``: ``--jobs N``
@@ -115,8 +117,24 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if args.profile:
+        return _run_profiled(spec, args)
     results = _execute([spec], args)
     _print_result(results[0])
+    return EXIT_OK
+
+
+def _run_profiled(spec: ScenarioSpec, args) -> int:
+    """``run --profile``: the shard in this process, under cProfile."""
+    from repro.obs.report import profile_call
+    from repro.scenario.build import run_shard
+
+    if args.jobs > 1 or args.cache_dir:
+        print("note: --profile runs the spec in-process; ignoring --jobs/--cache-dir")
+    result, profile_text = profile_call(run_shard, spec.to_dict())
+    _print_result(result)
+    print()
+    print(profile_text.rstrip())
     return EXIT_OK
 
 
@@ -170,6 +188,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_parser = sub.add_parser("run", help="build and run one scenario")
     add_common(run_parser)
     add_exec(run_parser)
+    run_parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="run in-process and print the GC tally and cProfile hotspots",
+    )
 
     sweep_parser = sub.add_parser("sweep", help="run one scenario across seeds")
     add_common(sweep_parser)

@@ -1,5 +1,8 @@
 """Unit tests for the access point MAC entity."""
 
+import hashlib
+import random
+
 from repro.mac import frames
 from repro.mac.ap import AccessPoint, ApConfig
 from repro.mac.frames import FrameType
@@ -93,6 +96,20 @@ class TestBeaconing:
         # One beacon chain (3–4 beacons depending on the random phase),
         # not a doubled one (~7).
         assert len(beacons) in (3, 4)
+
+
+class TestRng:
+    def test_fallback_seed_is_sha256_of_name(self):
+        # Without an rng the AP seeds from a digest of its name, never
+        # from the per-process salted hash(), so the first beacon phase
+        # is the same in every process.
+        sim, medium = make_world()
+        ap = make_ap(sim, medium, name="ap-17")
+        seed = int.from_bytes(hashlib.sha256(b"ap-17").digest()[:8], "big")
+        expected = random.Random(seed).uniform(0, ap.config.beacon_interval)
+        ap.start()
+        assert sim.step()
+        assert sim.now == expected
 
 
 class TestJoinResponder:

@@ -2,6 +2,7 @@
 semantics (fleets, traffic, failure injection), exec integration, and
 the ``spider-repro scenario`` CLI contract (exit codes, output)."""
 
+import gc
 import json
 
 import pytest
@@ -218,6 +219,57 @@ class TestRegistry:
         assert spec.drivers == ()
 
 
+@pytest.fixture
+def gc_restored():
+    """Put the cyclic collector back as the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestBuildPausesCollector:
+    def test_enabled_collector_stays_enabled(self, gc_restored):
+        gc.enable()
+        build(lab_spec())
+        assert gc.isenabled()
+
+    def test_enabled_after_build_error(self, gc_restored):
+        gc.enable()
+        spec = lab_spec().with_overrides(
+            failures=(FailureSpec(kind="ap-outage", ap="ghost", at=1.0),)
+        )
+        with pytest.raises(BuildError, match="failure targets unknown AP"):
+            build(spec)
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, gc_restored):
+        gc.disable()
+        build(lab_spec())
+        assert not gc.isenabled()
+
+    def test_no_automatic_collection_inside_build(self, gc_restored):
+        spec = scenario("metro-core-small")
+        gc.enable()
+        state = {"inside": False, "collections": 0}
+
+        def hook(phase, info):
+            if phase == "start" and state["inside"]:
+                state["collections"] += 1
+
+        gc.callbacks.append(hook)
+        try:
+            state["inside"] = True
+            world = build(spec)
+            state["inside"] = False
+        finally:
+            gc.callbacks.remove(hook)
+        assert len(world.aps) > 0
+        assert state["collections"] == 0
+
+
 class TestBuildAndRun:
     def test_explicit_world_has_declared_aps(self):
         world = build(lab_spec())
@@ -423,6 +475,23 @@ class TestCli:
         assert "cached=1/1" in warm
         strip = lambda out: [ln for ln in out.splitlines() if not ln.startswith("exec:")]
         assert strip(cold) == strip(warm)
+
+    def test_run_profile_prints_gc_tally_then_hotspots(self, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        argv = ["run", "metro-core-small", "--duration", "2", "--cache-dir", cache, "--profile"]
+        assert self.run_cli(argv) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert "scenario metro-core-small seed=1" in lines
+        gc_lines = [index for index, line in enumerate(lines) if line.startswith("gc: ")]
+        assert len(gc_lines) == 1
+        assert "collections (gen0/gen1/gen2)" in lines[gc_lines[0]]
+        assert "function calls" in lines[gc_lines[0] + 1]
+        assert "run_shard" in out
+        # In-process: no exec summary, nothing written to the cache.
+        assert not any(line.startswith("exec:") for line in lines)
+        assert "ignoring --jobs/--cache-dir" in out
+        assert not (tmp_path / "cache").exists()
 
     def test_runner_dispatches_scenario_subcommand(self, capsys):
         from repro.experiments.runner import main as runner_main
