@@ -40,7 +40,7 @@ RADIO_COUNTS = (8, 32, 128)
 CITY_RADIO_COUNTS = (1000, 10000)
 
 
-def _fleet(count, loss=0.0, seed=7, kernel="vector", spatial=True):
+def _fleet(count, loss=0.0, seed=7):
     """`count` static radios spread over channels 1/6/11 along a line.
 
     25 m spacing puts a handful of same-channel radios inside any
@@ -52,8 +52,6 @@ def _fleet(count, loss=0.0, seed=7, kernel="vector", spatial=True):
         sim,
         PropagationModel(range_m=100.0, base_loss=loss, edge_start=0.9),
         RandomStreams(seed),
-        kernel=kernel,
-        spatial_index=spatial,
     )
     radios = [
         Radio(
@@ -68,14 +66,14 @@ def _fleet(count, loss=0.0, seed=7, kernel="vector", spatial=True):
     return sim, medium, radios
 
 
-def _broadcast_fanout(count, frames_per_sender=600, kernel="vector", spatial=True):
+def _broadcast_fanout(count, frames_per_sender=600):
     """Three senders (one per channel) each beacon `frames_per_sender` times.
 
     Each sender re-sends one pre-built beacon on a chained timer: the
     event heap stays shallow and no per-send frame allocation dilutes
     the medium cost under measurement.
     """
-    sim, medium, radios = _fleet(count, kernel=kernel, spatial=spatial)
+    sim, medium, radios = _fleet(count)
     delivered = [0]
 
     def bump(_frame):
@@ -167,14 +165,14 @@ def _city_fanout(count, frames_per_sender=400):
     }
 
 
-def _metro_core_step(window=1.0, kernel="vector"):
+def _metro_core_step(window=1.0):
     """One step window of the metro-core city: 10k+ APs, four regions.
 
     The acceptance bar for the partitioned-medium tentpole: a 10k-AP
     world must *build* fast and *advance* a benchmark window in
     seconds, with the client fleet enrolled for edge handoff.
     """
-    spec = scenario("metro-core", duration=window).with_phy(kernel=kernel)
+    spec = scenario("metro-core", duration=window)
     build_start = time.perf_counter()
     world = build(spec)
     build_s = time.perf_counter() - build_start
@@ -193,62 +191,17 @@ def _metro_core_step(window=1.0, kernel="vector"):
     }
 
 
-def _dense_downtown_steps(duration=120.0, kernel="vector"):
+def _dense_downtown_steps(duration=120.0):
     """Step the dense-downtown preset: the scenario the index exists for."""
-    spec = scenario("dense-downtown", duration=duration, seed=3).with_phy(kernel=kernel)
+    spec = scenario("dense-downtown", duration=duration, seed=3)
     results = run_spec(spec)
     throughput = sum(result.summary()["throughput_KBps"] for result in results.values())
     return {"duration": duration, "throughput_KBps": throughput}
 
 
-def _kernel_ablation(duration=120.0):
-    """Dense-downtown stepped under both kernels, speedup reported.
-
-    The scalar oracle keeps none of the vector path's machinery (no
-    SoA snapshots, no sender pair cache), so this is the committed
-    measurement of what ``kernel = "vector"`` buys on the scenario the
-    kernel was built for. Digest identity between the two runs is
-    pinned elsewhere (``tests/test_scenario_identity.py``); this bench
-    only times them.
-    """
-    spec = scenario("dense-downtown", duration=duration, seed=3)
-    walls = {}
-    for kern in ("scalar", "vector"):
-        start = time.perf_counter()
-        run_spec(spec.with_phy(kernel=kern))
-        walls[kern] = time.perf_counter() - start
-    return {
-        "scalar_s": round(walls["scalar"], 6),
-        "vector_s": round(walls["vector"], 6),
-        "speedup": round(walls["scalar"] / walls["vector"], 3),
-    }
-
-
 @pytest.mark.parametrize("radios", RADIO_COUNTS)
 def test_bench_phy_broadcast_fanout(once, radios):
     result = once(_broadcast_fanout, radios)
-    assert result["frames_delivered"] > 0
-
-
-@pytest.mark.parametrize("kernel", ("scalar", "vector"))
-def test_bench_phy_broadcast_fanout_kernel(once, kernel):
-    """Kernel ablation on the largest spatial-grid fleet."""
-    result = once(_broadcast_fanout, RADIO_COUNTS[-1], kernel=kernel)
-    assert result["frames_delivered"] > 0
-
-
-@pytest.mark.parametrize("kernel", ("scalar", "vector"))
-def test_bench_phy_scan_fanout_kernel(once, kernel):
-    """Kernel ablation on the scan path (``spatial_index=False``).
-
-    With the grid off, every fan-out walks the full per-channel
-    snapshot (~43 radios at 128 on three channels) — comfortably past
-    ``KERNEL_MIN_BATCH``, so unlike the grid benches (whose local
-    snapshots are small and take the scalar fallback either way) this
-    is the regime where the batched SoA pre-filter itself carries the
-    delivery cost.
-    """
-    result = once(_broadcast_fanout, RADIO_COUNTS[-1], kernel=kernel, spatial=False)
     assert result["frames_delivered"] > 0
 
 
@@ -264,17 +217,6 @@ def test_bench_phy_dense_downtown_steps(once):
     assert result["throughput_KBps"] > 0.0
 
 
-def test_bench_phy_dense_downtown_steps_scalar(once):
-    """The scalar-oracle ablation of the scenario bench above."""
-    result = once(_dense_downtown_steps, kernel="scalar")
-    assert result["throughput_KBps"] > 0.0
-
-
-def test_bench_phy_kernel_speedup(once):
-    result = once(_kernel_ablation)
-    assert result["speedup"] > 0.0
-
-
 @pytest.mark.parametrize("radios", CITY_RADIO_COUNTS)
 def test_bench_phy_city_fanout(once, radios):
     result = once(_city_fanout, radios)
@@ -285,11 +227,3 @@ def test_bench_phy_metro_core_step(once):
     result = once(_metro_core_step)
     assert result["aps"] >= 10000
     assert result["step_s"] < 60.0  # "steps in seconds", with CI slack
-
-
-def test_bench_phy_metro_core_step_scalar(once):
-    """Scalar-oracle ablation of the 10k-AP step: what the vector
-    kernel's pair cache saves when every AP beacons every window."""
-    result = once(_metro_core_step, kernel="scalar")
-    assert result["aps"] >= 10000
-    assert result["step_s"] < 60.0

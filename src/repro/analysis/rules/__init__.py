@@ -1,6 +1,6 @@
 """Built-in simlint rules.
 
-Importing this package registers SL001–SL016 with the rule registry in
+Importing this package registers SL001–SL014 with the rule registry in
 :mod:`repro.analysis.core`; third-party rules register identically from
 modules listed under ``[tool.simlint] plugins``.
 """

@@ -1,22 +1,13 @@
-"""PHY hot-path rules: SL008/SL015 (no linear scans) and SL016 (kernel purity).
+"""PHY hot-path rule: SL008 (no linear registry scans).
 
-The medium's delivery and lookup paths run once per frame; PR 5 made
-their cost independent of fleet size by replacing the historical
-"scan every registered radio" loops with per-channel and per-address
-indexes (see DESIGN.md §6). SL008 keeps those scans from creeping
-back: any iteration over the full radio registry (``self._radios``)
-inside a ``Medium`` method is O(#radios) per frame and must go through
-``_by_channel`` / ``_by_address`` instead.
-
-SL015 (``cross-partition-scan``) is the same argument one level up:
-with the spatial grid enabled (the default), even the *per-channel*
-index is a city-wide structure — iterating it per frame is O(channel
-population), which at metro scale is O(world). Delivery-path methods
-must gather candidates from the grid (``_grid`` / ``_mobile`` /
-``_local_cache``, DESIGN.md §6.2); ``_scan_entries`` — the scalar
-oracle the grid is proven digest-identical against, reachable only
-with ``spatial_index=False`` — is the single delivery method allowed
-to walk ``_by_channel``, by name.
+The medium's delivery and lookup paths run once per frame; their cost
+is independent of fleet size because they read indexes instead of
+the historical "scan every registered radio" loops (see DESIGN.md §6):
+the spatial grid (``_grid`` / ``_mobile`` / ``_local_cache``, §6.2)
+for broadcast fan-out and ``_by_address`` for unicast lookup. SL008
+keeps those scans from creeping back: any iteration over the full
+radio registry (``self._radios``) inside a ``Medium`` method is
+O(#radios) per frame.
 
 Registry maintenance (``register`` / ``unregister`` / ``_retune``),
 the metrics snapshot (``_metrics_source``, sampled at snapshot
@@ -33,7 +24,7 @@ from typing import Iterator
 from repro.analysis.core import Finding, ModuleUnit, ProjectContext, Rule, Severity, register_rule
 
 #: Medium methods that may legitimately walk the whole registry.
-_EXEMPT_METHODS = {"register", "unregister", "_retune", "_metrics_source"}
+_EXEMPT_METHODS = {"register", "unregister", "_retune", "_metrics_source", "radios_on_channel"}
 
 #: Call wrappers that still iterate their first argument.
 _ITER_WRAPPERS = {"list", "tuple", "sorted", "iter", "enumerate", "reversed", "len"}
@@ -103,185 +94,7 @@ class PhyHotPathScan(Rule):
                         unit.path,
                         source,
                         "O(#radios) scan over self._radios in a Medium "
-                        "delivery/lookup method — use the _by_channel / "
+                        "delivery/lookup method — use the spatial grid / "
                         "_by_address indexes (DESIGN.md §6)",
                     )
 
-
-#: Medium methods that may walk the per-channel global index: registry
-#: maintenance, the metrics snapshot, the inspection helper, and the
-#: scalar-oracle snapshot builder (the ``spatial_index=False`` path).
-_CHANNEL_EXEMPT_METHODS = _EXEMPT_METHODS | {"radios_on_channel", "_scan_entries"}
-
-
-def _is_channel_index(node: ast.AST) -> bool:
-    """True for ``self._by_channel`` and anything that reaches it.
-
-    Covers the attribute itself, subscripts of it
-    (``self._by_channel[c]``), ``.get(...)`` lookups, dict views, and
-    the builtin iteration wrappers — each hands back a channel-global
-    structure whose iteration is O(channel population).
-    """
-    if (
-        isinstance(node, ast.Attribute)
-        and node.attr == "_by_channel"
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return True
-    if isinstance(node, ast.Subscript) and _is_channel_index(node.value):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr in (_DICT_VIEWS | {"get"})
-            and _is_channel_index(func.value)
-        ):
-            return True
-        if (
-            isinstance(func, ast.Name)
-            and func.id in _ITER_WRAPPERS
-            and len(node.args) >= 1
-            and _is_channel_index(node.args[0])
-        ):
-            return True
-    return False
-
-
-@register_rule
-class CrossPartitionScan(Rule):
-    """SL015: delivery paths gather from the spatial grid, not _by_channel."""
-
-    id = "SL015"
-    name = "cross-partition-scan"
-    severity = Severity.ERROR
-    description = "per-channel global-index iteration in Medium delivery methods"
-
-    def check(self, unit: ModuleUnit, project: ProjectContext) -> Iterator[Finding]:
-        assert unit.tree is not None
-        for klass in ast.walk(unit.tree):
-            if not isinstance(klass, ast.ClassDef) or klass.name != "Medium":
-                continue
-            for method in klass.body:
-                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if method.name in _CHANNEL_EXEMPT_METHODS:
-                    continue
-                yield from self._check_method(unit, method)
-
-    def _check_method(self, unit: ModuleUnit, method: ast.AST) -> Iterator[Finding]:
-        for node in ast.walk(method):
-            sources = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                sources.append(node.iter)
-            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-                sources.extend(generator.iter for generator in node.generators)
-            for source in sources:
-                if _is_channel_index(source):
-                    yield self.finding(
-                        unit.path,
-                        source,
-                        "O(channel population) iteration over self._by_channel "
-                        "in a Medium delivery method — gather candidates from "
-                        "the spatial grid (_grid/_mobile/_local_cache, "
-                        "DESIGN.md §6.2); only _scan_entries (the scalar "
-                        "oracle) may walk the channel index",
-                    )
-
-
-#: The one module in ``repro.phy`` allowed to import numpy.
-_KERNEL_MODULE = "repro.phy.kernel"
-
-#: Import roots that would smuggle simulation state into the kernel.
-_KERNEL_IMPURE_ROOTS = ("random", "repro.sim", "repro.obs", "repro.mac", "repro.drivers")
-
-#: Attribute names whose access inside the kernel means it is reading
-#: the simulation clock, the trace bus, or an RNG stream — all state
-#: the kernel's purity contract forbids (geometry in, floats out).
-_KERNEL_IMPURE_ATTRS = {"now", "trace", "random", "uniform", "emit"}
-
-
-def _import_root(name: str) -> str:
-    return name.split(".", 1)[0]
-
-
-@register_rule
-class KernelPurity(Rule):
-    """SL016: numpy stays in the kernel; the kernel stays pure.
-
-    Two directions of the same containment (DESIGN.md §6.3):
-
-    - Only ``repro.phy.kernel`` may import numpy. Array semantics leak
-      determinism bugs (``np.hypot`` and pairwise ``np.sum`` round
-      differently from the scalar math) — every numpy expression must
-      live in the kernel, next to the identity argument that justifies
-      it, never inline in delivery code.
-    - The kernel itself must be a pure function of its arguments: no
-      simulation clock, no trace emission, no RNG. Draw ordering is
-      the determinism contract's load-bearing wall, and it stays
-      provable only while every draw happens in ``Medium`` — a kernel
-      that consumed randomness (or consulted ``sim.now``) could
-      reorder draws invisibly.
-    """
-
-    id = "SL016"
-    name = "kernel-purity"
-    severity = Severity.ERROR
-    description = "numpy outside the phy kernel, or clock/trace/RNG inside it"
-
-    def check(self, unit: ModuleUnit, project: ProjectContext) -> Iterator[Finding]:
-        module = unit.module
-        if module is None or not (module == "repro.phy" or module.startswith("repro.phy.")):
-            return
-        assert unit.tree is not None
-        if module == _KERNEL_MODULE:
-            yield from self._check_kernel(unit)
-        else:
-            yield from self._check_numpy_confined(unit)
-
-    def _check_numpy_confined(self, unit: ModuleUnit) -> Iterator[Finding]:
-        for node in ast.walk(unit.tree):
-            names = ()
-            if isinstance(node, ast.Import):
-                names = tuple(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module is not None:
-                names = (node.module,)
-            for name in names:
-                if _import_root(name) == "numpy":
-                    yield self.finding(
-                        unit.path,
-                        node,
-                        "numpy import outside repro.phy.kernel — array code "
-                        "in repro.phy must live in the kernel module, where "
-                        "its bit-identity to the scalar path is argued and "
-                        "tested (DESIGN.md §6.3)",
-                    )
-
-    def _check_kernel(self, unit: ModuleUnit) -> Iterator[Finding]:
-        for node in ast.walk(unit.tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                if isinstance(node, ast.Import):
-                    names = tuple(alias.name for alias in node.names)
-                else:
-                    names = (node.module,) if node.module is not None else ()
-                for name in names:
-                    if any(
-                        name == root or name.startswith(root + ".")
-                        for root in _KERNEL_IMPURE_ROOTS
-                    ):
-                        yield self.finding(
-                            unit.path,
-                            node,
-                            f"kernel imports {name!r} — the phy kernel must "
-                            "stay a pure function of its arguments (no "
-                            "clock, no trace, no RNG)",
-                        )
-            elif isinstance(node, ast.Attribute) and node.attr in _KERNEL_IMPURE_ATTRS:
-                yield self.finding(
-                    unit.path,
-                    node,
-                    f"kernel touches .{node.attr} — clock/trace/RNG access "
-                    "belongs in Medium, which owns draw ordering; the "
-                    "kernel only transforms geometry",
-                )

@@ -61,7 +61,9 @@ def stdev(values: Sequence[float]) -> float:
     if _np is not None and n >= _BATCH_MIN:
         deltas = _np.asarray(values, dtype=float) - mu
         return math.sqrt(_seq_sum(deltas * deltas) / n)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / n)
+    # Square by multiplication, as the numpy branch does: ``** 2`` goes
+    # through ``pow``, which may round differently in the last bit.
+    return math.sqrt(sum((v - mu) * (v - mu) for v in values) / n)
 
 
 def percentile(values: Sequence[float], q: float) -> float:

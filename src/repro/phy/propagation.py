@@ -24,9 +24,9 @@ class PropagationModel:
     precomputed once: every delivery consults it, and computing
     ``edge_start * range_m`` per frame would both cost and invite the
     formula to be re-derived (and drift) at call sites. This is the
-    *single* home of the loss formula — the medium's scalar delivery
-    paths and the vectorized kernel (``repro.phy.kernel``) both defer
-    to :meth:`loss_probability` / :func:`combined_loss`, and
+    *single* home of the loss formula — the medium's delivery paths
+    and the reference scan in ``tests/phy_oracle.py`` all defer to
+    :meth:`loss_probability` / :func:`combined_loss`, and
     ``tests/test_phy_kernel.py`` pins their agreement.
     """
 
@@ -70,8 +70,8 @@ def combined_loss(model: PropagationModel, dist_m: float, extra: float) -> float
     ``extra`` is the interference contribution
     (:meth:`repro.phy.radio.Medium.interference_loss`); the sum is
     capped at certainty. Every delivery path — broadcast, unicast ARQ,
-    and the vectorized kernel's mirror — owes its loss to this one
-    composition, so the formula cannot fork.
+    and the reference scan — owes its loss to this one composition, so
+    the formula cannot fork.
     """
     loss = model.loss_probability(dist_m) + extra
     return loss if loss < 1.0 else 1.0

@@ -11,22 +11,21 @@ one channel, can be made *deaf* for the duration of a hardware reset
 hands received frames to whatever MAC entity registered ``on_receive``.
 
 The medium is fully indexed so the delivery path does no linear work
-over the fleet (DESIGN.md §6): a per-channel registration-ordered
-index, an address→radio map, an interference-loss memo, and an
-airtime memo make per-frame cost independent of how many radios exist.
-On top of those, a uniform-grid *spatial* index (cell size = the
-propagation horizon, DESIGN.md §6.2) restricts broadcast fan-out to
-the sender's 3×3 cell neighbourhood plus the channel's mobile radios,
-so per-frame cost scales with *local density*, not world size. The
-indexes preserve the exact per-receiver RNG draw order of the
-historical linear scans — registration order within a channel — which
-is what keeps every experiment digest byte-identical
-(``tests/goldens/*.json``). Channel retunes must go through
-``Radio.set_channel`` (never assign ``radio.channel`` directly), and
-simlint rules SL008/SL015 keep linear scans from creeping back in.
-The pre-spatial full-channel scan survives as the oracle path behind
-``spatial_index=False`` (spec: ``[phy] spatial_index``), which is how
-the grid is proven digest-identical on every existing scenario.
+over the fleet (DESIGN.md §6): an address→radio map, an
+interference-loss memo, an airtime memo, and a uniform-grid *spatial*
+index (cell size = the propagation horizon, DESIGN.md §6.2) that
+restricts broadcast fan-out to the sender's 3×3 cell neighbourhood
+plus the channel's mobile radios, so per-frame cost scales with *local
+density*, not world size. Static senders deliver from a cached
+per-sender pair list; mobile senders walk the 3×3 snapshot. Both visit
+receivers in registration order — the exact per-receiver RNG draw order
+of the historical full-channel scan — which is what keeps every
+experiment digest byte-identical (``tests/goldens/*.json``). That scan
+survives only as the reference implementation in
+``tests/phy_oracle.py``, which every identity test compares against.
+Channel retunes must go through ``Radio.set_channel`` (never assign
+``radio.channel`` directly), and simlint rule SL008 keeps linear scans
+from creeping back in.
 
 Simplifications (documented per DESIGN.md §6): no collision model —
 per-channel FIFO serialisation approximates medium sharing; frames on
@@ -44,7 +43,6 @@ from operator import attrgetter
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import trace as tr
-from repro.phy import kernel as _kernel
 from repro.phy.channels import (
     DEFAULT_DATA_RATE_BPS,
     INTERFERENCE_OVERLAP,
@@ -114,8 +112,8 @@ class Radio:
         #: the frame into the destination's power-save buffer.
         self.on_unicast_failure: Optional[Callable[[Any], None]] = None
         #: Registration sequence number, assigned by ``Medium.register``;
-        #: the per-channel index keeps radios sorted by it so delivery
-        #: order (and the RNG draw order) matches the historical
+        #: the spatial index keeps radios sorted by it so delivery order
+        #: (and the RNG draw order) matches the historical
         #: registration-ordered scan exactly.
         self.reg_seq: int = -1
         #: Per-timestamp position cache: mobile positions are pure
@@ -172,7 +170,7 @@ class Radio:
         """Retune instantly. Drivers model reset latency via go_deaf().
 
         This is the *only* legal way to change ``self.channel``: the
-        medium's per-channel index is maintained here.
+        medium's spatial index is maintained here.
         """
         trace = self.sim.trace
         if trace is not None and channel != self.channel:
@@ -230,14 +228,12 @@ class Radio:
 class Medium:
     """The shared wireless broadcast domain.
 
-    Index invariants (the determinism contract — see DESIGN.md §6):
+    Index invariants (the determinism contract — see DESIGN.md §6).
+    Broadcast fan-out draws per-receiver loss in *registration* order
+    (``Radio.reg_seq`` ascending) no matter how often radios retune: bit
+    for bit the order of the historical "scan all radios in registration
+    order, filter by channel" loop (``tests/phy_oracle.py``).
 
-    - ``_by_channel[c]`` holds exactly the registered radios tuned to
-      ``c``, iterable in *registration* order (``Radio.reg_seq``
-      ascending), no matter how often radios retune. Broadcast fan-out
-      draws per-receiver loss in this order, so it must equal the
-      historical "scan all radios in registration order, filter by
-      channel" order bit for bit.
     - ``_by_address[a]`` holds the registered radios with address
       ``a`` in registration order; unicast lookup takes the first
       entry that is not the sender, as the linear scan did.
@@ -254,7 +250,7 @@ class Medium:
       neighbourhood with the mobile set and sorting by ``reg_seq``
       reproduces the registration-order scan exactly for every radio
       that can draw loss RNG; radios farther than one cell are
-      provably out of range and never drew in the scalar scan either.
+      provably out of range and never drew in the full scan either.
     """
 
     def __init__(
@@ -265,12 +261,8 @@ class Medium:
         per_frame_overhead_s: float = 150e-6,
         max_arq_attempts: int = 4,
         adjacent_channel_loss: float = 0.25,
-        spatial_index: bool = True,
-        kernel: str = "vector",
         stream_name: str = "phy",
     ):
-        if kernel not in ("scalar", "vector"):
-            raise ValueError(f"unknown phy kernel {kernel!r} (use 'scalar' or 'vector')")
         self.sim = sim
         self.propagation = propagation or PropagationModel()
         self._rng = (streams or RandomStreams()).get(stream_name)
@@ -282,7 +274,6 @@ class Medium:
         #: orthogonal 1/6/11: frames near an active channel 3 or 9 pay.
         self.adjacent_channel_loss = adjacent_channel_loss
         self._radios: Dict[Radio, None] = {}
-        self._by_channel: Dict[int, Dict[Radio, None]] = {}
         self._by_address: Dict[str, List[Radio]] = {}
         self._registrations = 0
         self._channel_busy_until: Dict[int, float] = {}
@@ -313,41 +304,19 @@ class Medium:
         #: (size_bytes, rate_bps) → airtime; frames are few-shaped, so
         #: this converges to a handful of entries per workload.
         self._airtime_memo: Dict[Tuple[int, float], float] = {}
-        #: channel → fan-out snapshot: ``(radio, x, y)`` per registered
-        #: radio in registration order, with coordinates pre-resolved
-        #: for static radios (``None`` means "mobile — ask at delivery
-        #: time"). Invalidated whenever the channel's membership
-        #: changes; the delivery loop re-checks channel and deafness
-        #: per visit, so a cached snapshot is byte-identical to
-        #: rebuilding it from ``_by_channel``. This is the *scalar
-        #: oracle* path (``spatial_index=False``).
-        self._fanout_cache: Dict[int, List[Tuple[Radio, Optional[float], Optional[float]]]] = {}
-        #: Spatial fan-out index (``spatial_index=True``, the default).
-        #: Cell edge = propagation horizon: any receiver within range
-        #: differs from the sender by at most one cell per axis.
-        self._spatial = spatial_index
+        #: Spatial fan-out index. Cell edge = propagation horizon: any
+        #: receiver within range differs from the sender by at most one
+        #: cell per axis.
         self._cell_m = self.propagation.range_m
         self._grid: Dict[int, Dict[Tuple[int, int], List[Radio]]] = {}
         self._mobile: Dict[int, Dict[Radio, None]] = {}
-        #: channel → sender cell → merged local snapshot (same entry
-        #: shape as ``_fanout_cache``), invalidated with it.
+        #: channel → sender cell → merged local snapshot: ``(radio, x,
+        #: y)`` in registration order, with coordinates pre-resolved for
+        #: static radios (``None`` means "mobile — ask at delivery
+        #: time"). Invalidated whenever the channel's membership changes.
         self._local_cache: Dict[
             int, Dict[Tuple[int, int], List[Tuple[Radio, Optional[float], Optional[float]]]]
         ] = {}
-        #: Delivery kernel: ``"vector"`` (the default) batches the
-        #: fan-out geometry through ``repro.phy.kernel``; ``"scalar"``
-        #: keeps the historical per-entry loop as the oracle both are
-        #: proven digest-identical against (spec: ``[phy] kernel``).
-        self.kernel = kernel
-        self._vector = kernel == "vector"
-        #: snapshot key → ``(entries, FanoutArrays | None)``: the
-        #: struct-of-arrays form of a fan-out snapshot, built lazily on
-        #: first vector delivery and validated by the *identity* of the
-        #: snapshot list (invalidation replaces the list object, never
-        #: mutates it, so ``is`` is exact). Keys are the channel (scan
-        #: path) or ``(channel, cell)`` (spatial path) — disjoint types,
-        #: one map.
-        self._soa_cache: Dict[Any, Tuple[Any, Any]] = {}
         #: Per-channel membership epochs, split by kind: any static
         #: (resp. mobile) radio joining or leaving a channel bumps that
         #: channel's static (resp. mobile) version. The snapshot caches
@@ -399,23 +368,15 @@ class Medium:
         self._registrations += 1
         self._radios[radio] = None
         radio._repin()
-        # The new radio has the highest reg_seq, so appending keeps the
-        # channel index registration-ordered.
-        self._by_channel.setdefault(radio.channel, {})[radio] = None
         self._by_address.setdefault(radio.address, []).append(radio)
-        if self._spatial:
-            self._index_add(radio, radio.channel)
+        self._index_add(radio, radio.channel)
         self._invalidate(radio.channel, radio._static)
 
     def unregister(self, radio: Radio) -> None:
         if radio not in self._radios:
             return
         del self._radios[radio]
-        channel_index = self._by_channel.get(radio.channel)
-        if channel_index is not None:
-            channel_index.pop(radio, None)
-        if self._spatial:
-            self._index_remove(radio, radio.channel)
+        self._index_remove(radio, radio.channel)
         self._invalidate(radio.channel, radio._static)
         peers = self._by_address.get(radio.address)
         if peers is not None:
@@ -425,43 +386,21 @@ class Medium:
                 del self._by_address[radio.address]
 
     def _retune(self, radio: Radio, old_channel: int, new_channel: int) -> None:
-        """Move a radio between channel indexes (``Radio.set_channel``).
-
-        The common case — the retuning radio registered after everything
-        already on the target channel (clients retune; the AP fleet is
-        wired first) — is a plain O(1) append. When an *earlier*
-        registrant retunes onto a channel holding later ones, the index
-        is re-sorted by ``reg_seq`` so delivery order still matches the
-        historical registration-ordered scan.
-        """
+        """Move a radio's index entries between channels (``Radio.set_channel``)."""
         if radio not in self._radios:
             return  # unregistered radios may retune freely
         self._invalidate(old_channel, radio._static)
         self._invalidate(new_channel, radio._static)
-        old_index = self._by_channel.get(old_channel)
-        if old_index is not None:
-            old_index.pop(radio, None)
-        index = self._by_channel.setdefault(new_channel, {})
-        if index and next(reversed(index)).reg_seq > radio.reg_seq:
-            index[radio] = None
-            ordered = sorted(index, key=_reg_seq)
-            index.clear()
-            for entry in ordered:
-                index[entry] = None
-        else:
-            index[radio] = None
-        if self._spatial:
-            self._index_remove(radio, old_channel)
-            self._index_add(radio, new_channel)
+        self._index_remove(radio, old_channel)
+        self._index_add(radio, new_channel)
 
     def _invalidate(self, channel: int, static_member: bool) -> None:
-        """Drop the channel's cached fan-out snapshots (both paths).
+        """Drop the channel's cached fan-out snapshots.
 
         ``static_member`` says which membership kind changed; the
         matching epoch counter is bumped so the pair cache rebuilds
         only the half that is actually stale.
         """
-        self._fanout_cache.pop(channel, None)
         self._local_cache.pop(channel, None)
         if static_member:
             self._static_version[channel] = self._static_version.get(channel, 0) + 1
@@ -515,9 +454,12 @@ class Medium:
             mobile.pop(radio, None)
 
     def radios_on_channel(self, channel: int) -> List[Radio]:
-        """Registered radios tuned to ``channel``, in registration order."""
-        index = self._by_channel.get(channel)
-        return list(index) if index else []
+        """Registered radios tuned to ``channel``, in registration order.
+
+        An inspection helper, not a delivery path: it filters the full
+        registry (simlint SL008 exempts it by name).
+        """
+        return [radio for radio in self._radios if radio.channel == channel]
 
     def _first_with_address(self, address: str, sender: Radio) -> Optional[Radio]:
         """First-registered radio with ``address`` that is not ``sender``."""
@@ -708,53 +650,28 @@ class Medium:
 
     # -- delivery --------------------------------------------------------
 
-    def _scan_entries(self, channel: int) -> List[Tuple[Radio, Optional[float], Optional[float]]]:
-        """Scalar-oracle snapshot: every channel member, registration order.
-
-        Coordinates are pre-resolved for static radios (the AP fleet);
-        ``None`` marks a mobile radio whose position must be asked at
-        delivery time. Membership changes invalidate the cache, and the
-        delivery loop re-checks channel/deafness per visit, so iterating
-        a cached snapshot is byte-identical to the historical scan.
-
-        This is the only delivery-path method allowed to walk the
-        per-channel global index (simlint SL015 exempts it by name):
-        it *is* the oracle the spatial path is proven against, reached
-        only with ``spatial_index=False``.
-        """
-        entries = self._fanout_cache.get(channel)
-        if entries is None:
-            entries = [
-                (radio, radio._position_value.x, radio._position_value.y)
-                if radio._static
-                else (radio, None, None)
-                for radio in self._by_channel.get(channel, ())
-            ]
-            self._fanout_cache[channel] = entries
-        return entries
-
     def _local_entries(
-        self, channel: int, key: Tuple[int, int]
+        self, channel: int, x: float, y: float
     ) -> List[Tuple[Radio, Optional[float], Optional[float]]]:
-        """Spatial snapshot: the 3×3 cell neighbourhood of cell ``key``.
+        """Spatial snapshot: the 3×3 cell neighbourhood of point ``(x, y)``.
 
         Static radios from the sender's cell and its eight neighbours
         plus every mobile radio on the channel, merged into ``reg_seq``
-        order — exactly the subsequence of the scalar oracle's scan
-        that can reach the RNG draw: a static radio outside the
-        neighbourhood is farther than one cell edge (= the propagation
-        horizon) on some axis, so the oracle's range check skips it
-        without drawing. Cached per (channel, sender cell); any
-        membership change on the channel invalidates. The caller
-        computes ``key`` (the sender's grid cell) so the delivery path
-        derives it exactly once per completion.
+        order — exactly the subsequence of the full-channel scan
+        (``tests/phy_oracle.py``) that can reach the RNG draw: a static
+        radio outside the neighbourhood is farther than one cell edge
+        (= the propagation horizon) on some axis, so the scan's range
+        check skips it without drawing. Cached per (channel, sender
+        cell); any membership change on the channel invalidates.
         """
+        cell = self._cell_m
+        cx = int(x // cell)
+        cy = int(y // cell)
         cache = self._local_cache.get(channel)
         if cache is None:
             cache = self._local_cache[channel] = {}
-        entries = cache.get(key)
+        entries = cache.get((cx, cy))
         if entries is None:
-            cx, cy = key
             local: List[Radio] = []
             cells = self._grid.get(channel)
             if cells is not None:
@@ -773,24 +690,8 @@ class Medium:
                 else (radio, None, None)
                 for radio in local
             ]
-            cache[key] = entries
+            cache[cx, cy] = entries
         return entries
-
-    def _fanout_arrays(self, key: Any, entries: List) -> Any:
-        """SoA form of a snapshot, rebuilt when the snapshot changes.
-
-        The cache is validated by the snapshot list's *identity*:
-        membership changes replace the list object (never mutate it),
-        so ``is`` is an exact freshness test. ``None`` is a cached
-        verdict too — the snapshot's static population is under the
-        kernel's batch threshold and the scalar loop should run.
-        """
-        cached = self._soa_cache.get(key)
-        if cached is not None and cached[0] is entries:
-            return cached[1]
-        arrays = _kernel.build_arrays(entries)
-        self._soa_cache[key] = (entries, arrays)
-        return arrays
 
     def _deliver_broadcast(
         self, sender: Radio, frame: Any, channel: int, airtime: Optional[float] = None
@@ -801,7 +702,7 @@ class Medium:
         sender_y = sender_pos.y
         extra_loss = self.interference_loss(channel)
         frame_air = self.airtime(frame) if airtime is None else airtime
-        if self._vector and sender._static:
+        if sender._static:
             # Static sender: the fan-out's static geometry is a constant
             # of the channel's static membership — deliver from the
             # precomputed pair list, skipping the snapshot fetch.
@@ -809,15 +710,7 @@ class Medium:
                 sender, frame, channel, now, sender_x, sender_y, extra_loss, frame_air,
             )
             return
-        soa_key: Any
-        if self._spatial:
-            cell = self._cell_m
-            cell_key = (int(sender_x // cell), int(sender_y // cell))
-            entries = self._local_entries(channel, cell_key)
-            soa_key = (channel, cell_key)
-        else:
-            entries = self._scan_entries(channel)
-            soa_key = channel
+        entries = self._local_entries(channel, sender_x, sender_y)
         if not entries:
             return
         propagation = self.propagation
@@ -830,15 +723,6 @@ class Medium:
         rssi_at = self.rssi_at
         draw = self._rng.random
         trace = self.sim.trace
-        if self._vector:
-            if len(entries) >= _kernel.KERNEL_MIN_BATCH:
-                arrays = self._fanout_arrays(soa_key, entries)
-                if arrays is not None:
-                    self._deliver_vector(
-                        arrays, entries, sender, frame, channel, now,
-                        sender_x, sender_y, extra_loss, frame_air,
-                    )
-                    return
         # The snapshot list is never mutated in place (handlers that
         # retune/register/unregister only *replace* it via cache
         # invalidation), so iterating it while handlers run is safe.
@@ -873,20 +757,14 @@ class Medium:
     def _mobile_pairs(self, channel: int) -> List[Tuple[int, Radio]]:
         """Current mobile members of ``channel`` as ``(reg_seq, radio)``.
 
-        Registration order: the spatial mobile set and the oracle scan
-        both maintain it, so the pair-merge in ``_deliver_static`` can
-        interleave these with the cached static pairs by ``reg_seq``.
+        Registration order (the spatial mobile set maintains it), so the
+        pair-merge in ``_deliver_static`` can interleave these with the
+        cached static pairs by ``reg_seq``.
         """
-        if self._spatial:
-            mobile = self._mobile.get(channel)
-            if not mobile:
-                return []
-            return [(radio.reg_seq, radio) for radio in mobile]
-        return [
-            (radio.reg_seq, radio)
-            for radio, x, _y in self._scan_entries(channel)
-            if x is None
-        ]
+        mobile = self._mobile.get(channel)
+        if not mobile:
+            return []
+        return [(radio.reg_seq, radio) for radio in mobile]
 
     def _sender_pairs(
         self, sender: Radio, channel: int, sender_x: float, sender_y: float
@@ -896,25 +774,20 @@ class Medium:
         Returns ``(statics, mobiles)``: ``statics`` holds one
         ``(reg_seq, radio, base_loss, rssi)`` tuple per static radio
         that passes the sender's range check — the exact radios (and
-        the exact path-loss/RSSI floats) the scalar loop would compute
-        per frame, in registration order — and ``mobiles`` the
-        ``(reg_seq, radio)`` mobile members, whose geometry is
-        delivery-time state. The cache lives on the sender radio
-        (``Radio._pair_state`` — a static sender's cell and channel are
-        the key, and both are properties of the radio itself), with the
-        two halves validated against the channel's *split* membership
-        epochs (``_invalidate``): a mobile client retuning onto the
-        channel rebuilds only the cheap mobile list, leaving the static
-        geometry — the expensive half, and a constant while the
-        channel's static population is unchanged — intact. Static
-        positions are pinned at registration, and any re-registration
-        bumps the static epoch (and clears the radio's state via
-        ``_repin``), so surviving entries are never stale.
-
-        Large snapshots use the kernel's batched pre-filter to find the
-        static candidates; each still re-runs the exact scalar check,
-        so the cached pairs are byte-for-byte what the per-frame loop
-        would derive.
+        the exact path-loss/RSSI floats) the per-entry loop of
+        ``_deliver_broadcast`` would compute per frame, in registration
+        order — and ``mobiles`` the ``(reg_seq, radio)`` mobile members,
+        whose geometry is delivery-time state. The cache lives on the
+        sender radio (``Radio._pair_state`` — a static sender's cell and
+        channel are the key, and both are properties of the radio
+        itself), with the two halves validated against the channel's
+        *split* membership epochs (``_invalidate``): a mobile client
+        retuning onto the channel rebuilds only the cheap mobile list,
+        leaving the static geometry — the expensive half, and a constant
+        while the channel's static population is unchanged — intact.
+        Static positions are pinned at registration, and any
+        re-registration bumps the static epoch (and clears the radio's
+        state via ``_repin``), so surviving entries are never stale.
         """
         static_v = self._static_version.get(channel, 0)
         mobile_v = self._mobile_version.get(channel, 0)
@@ -930,14 +803,7 @@ class Medium:
             mobiles = self._mobile_pairs(channel)
             sender._pair_state = (self, channel, static_v, mobile_v, state[4], mobiles)
             return state[4], mobiles
-        if self._spatial:
-            cell = self._cell_m
-            cell_key = (int(sender_x // cell), int(sender_y // cell))
-            entries = self._local_entries(channel, cell_key)
-            soa_key: Any = (channel, cell_key)
-        else:
-            entries = self._scan_entries(channel)
-            soa_key = channel
+        entries = self._local_entries(channel, sender_x, sender_y)
         propagation = self.propagation
         range_m = propagation.range_m
         fringe_start = propagation.fringe_start_m
@@ -945,13 +811,7 @@ class Medium:
         base_loss_at = propagation.loss_probability
         rssi_at = self.rssi_at
         statics: List[Tuple[int, Radio, float, float]] = []
-        rows: Any = range(len(entries))
-        if len(entries) >= _kernel.KERNEL_MIN_BATCH:
-            arrays = self._fanout_arrays(soa_key, entries)
-            if arrays is not None:
-                rows = _kernel.candidate_rows(arrays, sender_x, sender_y, range_m)
-        for row in rows:
-            radio, x, y = entries[row]
+        for radio, x, y in entries:
             if x is None or radio is sender:
                 continue
             dx = sender_x - x
@@ -979,13 +839,14 @@ class Medium:
     ) -> None:
         """Broadcast delivery for a static sender via the pair cache.
 
-        Byte-identical to the scalar loop: the cached static pairs hold
-        the same path-loss and RSSI floats the per-frame loop computes
-        (same expressions, same operand order), channel and deafness
-        are re-checked per visit exactly as the scalar loop does, and
-        mobile members — whose positions are delivery-time state — run
-        the full scalar per-visit body, merged back in registration
-        (``reg_seq``) order so the RNG draw sequence is unchanged.
+        Byte-identical to the per-entry loop of ``_deliver_broadcast``:
+        the cached static pairs hold the same path-loss and RSSI floats
+        that loop computes (same expressions, same operand order),
+        channel and deafness are re-checked per visit exactly as it
+        does, and mobile members — whose positions are delivery-time
+        state — run its full per-visit body, merged back in
+        registration (``reg_seq``) order so the RNG draw sequence is
+        unchanged.
         """
         # Inlined hit path of ``_sender_pairs`` — this runs once per
         # transmitted frame at steady state, so the call is worth
@@ -1062,84 +923,6 @@ class Medium:
                     )
                 continue
             radio._deliver(frame, rssi if dist is None else rssi_at(dist), frame_air)
-
-    def _deliver_vector(
-        self,
-        arrays: Any,
-        entries: List[Tuple[Radio, Optional[float], Optional[float]]],
-        sender: Radio,
-        frame: Any,
-        channel: int,
-        now: float,
-        sender_x: float,
-        sender_y: float,
-        extra_loss: float,
-        frame_air: float,
-    ) -> None:
-        """Batched broadcast delivery — byte-identical to the scalar loop.
-
-        Three ordered passes (DESIGN.md §6.3):
-
-        1. The kernel's vectorized pre-filter yields candidate snapshot
-           rows in snapshot order; each candidate re-runs the *exact*
-           scalar per-visit checks (sender/channel/deafness, bbox,
-           ``math.hypot`` range) — the batch only over-keeps, so the
-           survivors are exactly the radios the oracle draws for.
-        2. One ordered batch of RNG draws, one per survivor. Receive
-           handlers never draw from the phy stream (the stream is only
-           touched inside ``_deliver_*``, and ``broadcast`` merely
-           schedules a completion), and channel retunes / deafness only
-           happen from scheduled driver processes — never synchronously
-           from ``on_receive`` — so hoisting the draws ahead of the
-           deliveries reorders nothing observable.
-        3. Deliveries and drop traces in the same order the scalar loop
-           emits them, comparing each draw against the batched loss
-           (``kernel.batch_loss``, bit-identical per lane to
-           ``combined_loss`` on the same distances).
-        """
-        propagation = self.propagation
-        range_m = propagation.range_m
-        survivors: List[Tuple[Radio, float]] = []
-        append = survivors.append
-        for row in _kernel.candidate_rows(arrays, sender_x, sender_y, range_m):
-            radio, x, y = entries[row]
-            if radio is sender or radio.channel != channel or now < radio.deaf_until:
-                continue
-            if x is None:
-                pos = radio.position()
-                x = pos.x
-                y = pos.y
-            dx = sender_x - x
-            if dx > range_m or -dx > range_m:
-                continue
-            dist = _hypot(dx, sender_y - y)
-            if dist > range_m:
-                continue
-            append((radio, dist))
-        if not survivors:
-            return
-        losses = _kernel.batch_loss(
-            [dist for _, dist in survivors],
-            range_m,
-            propagation.base_loss,
-            propagation.fringe_start_m,
-            propagation.fringe_span_m,
-            extra_loss,
-        ).tolist()
-        draw = self._rng.random
-        draws = [draw() for _ in range(len(survivors))]
-        rssi_at = self.rssi_at
-        trace = self.sim.trace
-        for (radio, dist), loss, uniform in zip(survivors, losses, draws):
-            if uniform < loss:
-                radio.frames_lost += 1
-                if trace is not None:
-                    trace.emit(
-                        tr.PHY_FRAME_DROP, now, channel=channel,
-                        dst=radio.address, reason="loss",
-                    )
-                continue
-            radio._deliver(frame, rssi_at(dist), frame_air)
 
     def _deliver_unicast(self, sender: Radio, frame: Any, channel: int, attempt: int) -> None:
         """Unicast with link-layer ARQ: retry on loss up to the cap.

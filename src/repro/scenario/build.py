@@ -74,18 +74,12 @@ class World:
         propagation: PropagationModel,
         wired_latency: float = 0.075,
         name: str = "adhoc",
-        spatial_index: bool = True,
-        kernel: str = "vector",
     ):
         self.name = name
         self.seed = seed
         self.sim = Simulator()
         self.streams = RandomStreams(seed)
-        self._spatial_index = spatial_index
-        self._kernel = kernel
-        self.medium = Medium(
-            self.sim, propagation, self.streams, spatial_index=spatial_index, kernel=kernel
-        )
+        self.medium = Medium(self.sim, propagation, self.streams)
         self.wired_latency = wired_latency
         self.aps: Dict[str, AccessPoint] = {}
         self.routers: Dict[str, ApRouter] = {}
@@ -124,8 +118,6 @@ class World:
                 self.sim,
                 self.medium.propagation,
                 self.streams,
-                spatial_index=self._spatial_index,
-                kernel=self._kernel,
                 stream_name=f"phy:{part.name}",
             )
             self.partitions.add_region(
@@ -424,14 +416,7 @@ def _build(spec: ScenarioSpec) -> World:
         base_loss=spec.propagation.base_loss,
         edge_start=spec.propagation.edge_start,
     )
-    world = World(
-        spec.seed,
-        propagation,
-        spec.wired_latency,
-        name=spec.name,
-        spatial_index=spec.phy.spatial_index,
-        kernel=spec.phy.kernel,
-    )
+    world = World(spec.seed, propagation, spec.wired_latency, name=spec.name)
     world.spec = spec
     if spec.partitions:
         world.enable_partitions(spec.partitions, spec.phy.handoff_period_s)

@@ -38,20 +38,11 @@ class PropagationSpec:
 class PhySpec:
     """PHY-layer wiring knobs (see ``repro.phy.radio`` / ``partition``).
 
-    ``spatial_index=False`` selects the scalar full-channel-scan oracle
-    inside every ``Medium`` — slower, but the reference the grid path
-    is proven digest-identical against. ``kernel`` picks the broadcast
-    delivery implementation: ``"vector"`` (the default) batches the
-    fan-out geometry through ``repro.phy.kernel``; ``"scalar"`` keeps
-    the per-entry loop, the oracle the kernel is proven byte-identical
-    against (DESIGN.md §6.3). ``handoff_period_s`` is the partition
-    poll period for mobile radios (only meaningful when the spec
-    declares ``[[partitions]]``).
+    ``handoff_period_s`` is the partition poll period for mobile radios
+    (only meaningful when the spec declares ``[[partitions]]``).
     """
 
-    spatial_index: bool = True
     handoff_period_s: float = 1.0
-    kernel: str = "vector"
 
 
 @dataclass(frozen=True)
@@ -204,10 +195,6 @@ class ScenarioSpec:
         data = _plain(asdict(self))
         if self.phy == PhySpec():
             del data["phy"]
-        elif self.phy.kernel == "vector":
-            # Default kernel — omitted so pre-kernel digests (and any
-            # spec that only tweaks the other phy knobs) are unchanged.
-            del data["phy"]["kernel"]
         if not self.partitions:
             del data["partitions"]
         deployment = data["deployment"]
@@ -256,7 +243,7 @@ class ScenarioSpec:
         return replace(self, deployment=replace(self.deployment, **overrides))
 
     def with_phy(self, **overrides: Any) -> "ScenarioSpec":
-        """PHY-field overrides (e.g. ``spatial_index=False`` → oracle)."""
+        """PHY-field overrides (e.g. ``handoff_period_s``)."""
         return replace(self, phy=replace(self.phy, **overrides))
 
     def validated(self) -> "ScenarioSpec":
@@ -277,8 +264,6 @@ class ScenarioSpec:
                 raise SpecError("aps_per_block must be positive")
         if self.phy.handoff_period_s <= 0:
             raise SpecError("handoff_period_s must be positive")
-        if self.phy.kernel not in ("scalar", "vector"):
-            raise SpecError(f"unknown phy kernel {self.phy.kernel!r} (use 'scalar' or 'vector')")
         region_names: set = set()
         for partition in self.partitions:
             if not partition.name:

@@ -117,6 +117,15 @@ class TestStatsNumpyEquivalence:
             mp.setattr(stats, "_np", None)
             assert stats.stdev(values) == numpy_result
 
+    def test_stdev_bitwise_on_pow_misrounding_input(self):
+        # ``(v - mu) ** 2`` rounds this delta's square one ulp away from
+        # ``(v - mu) * (v - mu)``; both branches must multiply.
+        values = [0.0] * 63 + [975848535.400963]
+        with pytest.MonkeyPatch.context() as mp:
+            numpy_result = stats.stdev(values)
+            mp.setattr(stats, "_np", None)
+            assert stats.stdev(values) == numpy_result
+
     @given(
         values=_batched_floats,
         q=st.floats(min_value=0.0, max_value=100.0),

@@ -1,22 +1,21 @@
-"""The vectorized PHY kernel vs the scalar oracle (DESIGN.md §6.3).
+"""The PHY delivery path vs the reference scan (DESIGN.md §6.3).
 
-Three layers of proof that ``kernel="vector"`` changes *nothing
-observable*:
+Two layers of proof that the one delivery path — spatial grid, static
+sender pair cache, scalar per-entry loop for mobile senders — changes
+*nothing observable* relative to the full-channel scan in
+``tests/phy_oracle.py``:
 
-- **Loss math has one home.** The scalar broadcast loop, the unicast
-  ARQ path, and the kernel's :func:`batch_loss` all owe their loss to
-  ``propagation.combined_loss``; the agreement tests pin all of them
-  bit-for-bit across the flat floor, the fringe roll-off, the beyond-
-  range lane, and interference extras.
-- **The pre-filter only over-keeps.** Property tests check that every
-  radio the oracle's exact ``math.hypot`` check accepts appears in
-  :func:`candidate_rows`, in snapshot order, mobiles always included.
-- **Generated-world identity.** ~50 worlds sweeping radio count,
-  mobile fraction, channel mix, interference, and the spatial index
-  run the same seeded traffic (with mid-run retunes and deafness)
-  under both kernels; counters, delivery logs, drop traces, RSSI, and
-  the number of RNG draws consumed must be byte-identical — asserted
-  via SHA-256 digests of the canonical outcome.
+- **Loss math has one home.** The broadcast loop's inlined flat-floor
+  branch and the unicast ARQ path both owe their loss to
+  ``propagation.combined_loss``; the agreement tests pin them
+  bit-for-bit across the flat floor, the fringe roll-off, and
+  interference extras.
+- **Generated-world identity.** ~25 worlds sweeping radio count,
+  mobile fraction, channel mix, and interference run the same seeded
+  traffic (with mid-run retunes and deafness) through ``Medium`` and
+  ``OracleMedium``; counters, delivery logs, drop traces, RSSI, and the
+  number of RNG draws consumed must be byte-identical — asserted via
+  SHA-256 digests of the canonical outcome.
 """
 
 import hashlib
@@ -25,20 +24,18 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.mac import frames
-from repro.phy import kernel
 from repro.phy.propagation import PropagationModel, combined_loss
 from repro.phy.radio import Medium, Radio
 from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.world.geometry import Point
 from repro.world.mobility import ConstantVelocityMobility, StaticMobility
+from tests.phy_oracle import OracleMedium
 
 
-# -- loss math: one formula, three call sites ---------------------------------
+# -- loss math: one formula, two call sites -----------------------------------
 
 
 LOSS_MODELS = [
@@ -68,17 +65,6 @@ def _sweep_distances(model):
 
 class TestLossAgreement:
     @pytest.mark.parametrize("model", LOSS_MODELS, ids=lambda m: f"r{m.range_m:g}")
-    @pytest.mark.parametrize("extra", [0.0, 0.25, 0.9])
-    def test_batch_loss_matches_combined_loss_bitwise(self, model, extra):
-        dists = _sweep_distances(model)
-        batched = kernel.batch_loss(
-            dists, model.range_m, model.base_loss,
-            model.fringe_start_m, model.fringe_span_m, extra,
-        )
-        for dist, lane in zip(dists, batched.tolist()):
-            assert lane == combined_loss(model, dist, extra), dist
-
-    @pytest.mark.parametrize("model", LOSS_MODELS, ids=lambda m: f"r{m.range_m:g}")
     def test_scalar_broadcast_inline_matches_combined_loss(self, model):
         # The broadcast loop inlines the flat-floor branch; the inlined
         # expression must equal the shared helper on every branch.
@@ -103,83 +89,6 @@ class TestLossAgreement:
                 medium.propagation, dist, medium.interference_loss(1)
             )
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        dist=st.floats(min_value=0.0, max_value=400.0),
-        extra=st.floats(min_value=0.0, max_value=1.5),
-    )
-    def test_batch_loss_property(self, dist, extra):
-        model = LOSS_MODELS[1]
-        lane = float(
-            kernel.batch_loss(
-                [dist], model.range_m, model.base_loss,
-                model.fringe_start_m, model.fringe_span_m, extra,
-            )[0]
-        )
-        assert lane == combined_loss(model, dist, extra)
-
-
-# -- the conservative pre-filter ----------------------------------------------
-
-
-class _Row:
-    """Minimal stand-in for a snapshot radio (reg_seq only)."""
-
-    def __init__(self, reg_seq):
-        self.reg_seq = reg_seq
-
-
-def _entries(points, mobiles=0):
-    entries = [(_Row(i), x, y) for i, (x, y) in enumerate(points)]
-    base = len(entries)
-    for j in range(mobiles):
-        entries.insert(j * 2, (_Row(base + j), None, None))
-    return [(r, x, y) for r, x, y in entries]
-
-
-class TestCandidateRows:
-    def test_below_threshold_declines(self):
-        points = [(float(i), 0.0) for i in range(kernel.KERNEL_MIN_BATCH - 1)]
-        assert kernel.build_arrays(_entries(points)) is None
-
-    def test_mobile_rows_do_not_count_toward_threshold(self):
-        points = [(float(i), 0.0) for i in range(kernel.KERNEL_MIN_BATCH - 1)]
-        assert kernel.build_arrays(_entries(points, mobiles=10)) is None
-
-    def test_rows_are_snapshot_positions_in_order(self):
-        points = [(float(i), 0.0) for i in range(kernel.KERNEL_MIN_BATCH)]
-        entries = _entries(points, mobiles=3)
-        arrays = kernel.build_arrays(entries)
-        assert arrays is not None
-        rows = kernel.candidate_rows(arrays, 0.0, 0.0, 1e9)
-        assert rows == sorted(rows)
-        assert rows == list(range(len(entries)))
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31),
-        range_m=st.floats(min_value=1.0, max_value=500.0),
-    )
-    def test_never_drops_an_oracle_accepted_radio(self, seed, range_m):
-        rng = random.Random(seed)
-        points = [
-            (rng.uniform(-600, 600), rng.uniform(-600, 600)) for _ in range(40)
-        ]
-        entries = _entries(points, mobiles=2)
-        arrays = kernel.build_arrays(entries)
-        assert arrays is not None
-        sx, sy = rng.uniform(-600, 600), rng.uniform(-600, 600)
-        kept = set(kernel.candidate_rows(arrays, sx, sy, range_m))
-        for row, (radio, x, y) in enumerate(entries):
-            if x is None:
-                assert row in kept  # mobiles always visited
-                continue
-            dx = sx - x
-            if dx > range_m or -dx > range_m:
-                continue
-            if math.hypot(dx, sy - y) <= range_m:
-                assert row in kept, (row, x, y)
-
 
 # -- generated-world identity -------------------------------------------------
 
@@ -196,24 +105,20 @@ def _world_params():
     for n_static in (8, 30, 64):
         for mobile_frac in (0.0, 0.25):
             for layout in sorted(_LAYOUTS):
-                for spatial in (True, False):
-                    params.append((n_static, mobile_frac, layout, spatial, 0.25))
+                params.append((n_static, mobile_frac, layout, 0.25))
     # Interference ablation on the overlapping mix (the only layout
     # where adjacent-channel loss changes anything).
     for n_static in (30, 64):
-        for spatial in (True, False):
-            params.append((n_static, 0.25, "overlap", spatial, 0.0))
+        params.append((n_static, 0.25, "overlap", 0.0))
     # Mobile-heavy mixes: the two-pointer static/mobile merge under load.
     for layout in ("orthogonal", "overlap"):
-        for spatial in (True, False):
-            params.append((30, 0.5, layout, spatial, 0.25))
-    # Big worlds: static population well past KERNEL_MIN_BATCH so the
-    # batched paths (not just the scalar fallback) carry the run.
+        params.append((30, 0.5, layout, 0.25))
+    # Big worlds: mobile senders whose 3×3 snapshots hold dozens of
+    # statics, so the per-entry loop (not just the pair cache) carries
+    # much of the run.
     for mobile_frac in (0.1, 0.5):
-        for spatial in (True, False):
-            params.append((130, mobile_frac, "single", spatial, 0.25))
-    for spatial in (True, False):
-        params.append((100, 0.25, "overlap", spatial, 0.25))
+        params.append((130, mobile_frac, "single", 0.25))
+    params.append((100, 0.25, "overlap", 0.25))
     return params
 
 
@@ -221,9 +126,9 @@ WORLDS = _world_params()
 
 
 def _world_id(params):
-    n, frac, layout, spatial, adj = params
-    grid = "grid" if spatial else "scan"
-    return f"n{n}-m{int(frac * 100)}-{layout}-{grid}-adj{int(adj * 100)}"
+    # "grid" names the path under test; the reference is the scan.
+    n, frac, layout, adj = params
+    return f"n{n}-m{int(frac * 100)}-{layout}-grid-adj{int(adj * 100)}"
 
 
 def _populate(medium, n_static, mobile_frac, channels, seed):
@@ -263,8 +168,7 @@ def _schedule_traffic(sim, radios, channels, seed):
                          rng.uniform(0.05, 0.6))
 
 
-def _run_world(kernel_name, n_static, mobile_frac, layout, spatial, adjacent_loss,
-               seed=17):
+def _run_world(medium_class, n_static, mobile_frac, layout, adjacent_loss, seed=17):
     channels = _LAYOUTS[layout]
     sim = Simulator()
     from repro.obs.trace import TraceBus, TraceRecorder
@@ -272,13 +176,11 @@ def _run_world(kernel_name, n_static, mobile_frac, layout, spatial, adjacent_los
     bus = TraceBus()
     recorder = TraceRecorder(bus)
     bus.attach(sim)
-    medium = Medium(
+    medium = medium_class(
         sim,
         PropagationModel(range_m=120.0, base_loss=0.15, edge_start=0.7),
         RandomStreams(seed),
         adjacent_channel_loss=adjacent_loss,
-        spatial_index=spatial,
-        kernel=kernel_name,
     )
     radios = _populate(medium, n_static, mobile_frac, channels, seed)
     log = []
@@ -319,35 +221,23 @@ def _digest(outcome):
 
 @pytest.mark.parametrize("params", WORLDS, ids=_world_id)
 def test_generated_world_kernel_identity(params):
-    n_static, mobile_frac, layout, spatial, adjacent_loss = params
-    scalar = _run_world("scalar", n_static, mobile_frac, layout, spatial, adjacent_loss)
-    vector = _run_world("vector", n_static, mobile_frac, layout, spatial, adjacent_loss)
-    assert scalar["counters"] == vector["counters"]
-    assert scalar["log"] == vector["log"]
-    assert scalar["trace"] == vector["trace"]
-    assert scalar["rng_probe"] == vector["rng_probe"]
-    assert _digest(scalar) == _digest(vector)
+    oracle = _run_world(OracleMedium, *params)
+    medium = _run_world(Medium, *params)
+    assert oracle["counters"] == medium["counters"]
+    assert oracle["log"] == medium["log"]
+    assert oracle["trace"] == medium["trace"]
+    assert oracle["rng_probe"] == medium["rng_probe"]
+    assert _digest(oracle) == _digest(medium)
     # The worlds must actually do something, or identity proves nothing.
-    assert any(got for _, _, _, got, *_ in scalar["counters"])
+    assert any(got for _, _, _, got, *_ in oracle["counters"])
 
 
 class TestKernelEngagement:
-    def test_batched_prefilter_engages_on_large_scan_worlds(self, monkeypatch):
-        calls = {"count": 0}
-        original = kernel.candidate_rows
-
-        def counting(*args, **kwargs):
-            calls["count"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(kernel, "candidate_rows", counting)
-        outcome = _run_world("vector", 130, 0.5, "single", False, 0.25)
-        assert calls["count"] > 0, "vector kernel never engaged"
-        assert any(got for _, _, _, got, *_ in outcome["counters"])
+    """The static-sender pair cache: engagement, churn, re-registration."""
 
     def test_static_pair_cache_engages(self):
         sim = Simulator()
-        medium = Medium(sim, PropagationModel(), RandomStreams(3), kernel="vector")
+        medium = Medium(sim, PropagationModel(), RandomStreams(3))
         radios = _populate(medium, 30, 0.2, (1,), seed=3)
         sender = radios[0]
         for _ in range(3):
@@ -356,7 +246,7 @@ class TestKernelEngagement:
         assert sender._pair_state is not None
         _, channel, static_v, mobile_v, statics, mobiles = sender._pair_state
         assert channel == 1
-        # Geometry matches a fresh scalar derivation, entry for entry.
+        # Geometry matches a fresh derivation, entry for entry.
         model = medium.propagation
         for reg_seq, radio, base, rssi in statics:
             dist = math.hypot(
@@ -375,7 +265,7 @@ class TestKernelEngagement:
 
     def test_mobile_churn_refreshes_only_mobile_half(self):
         sim = Simulator()
-        medium = Medium(sim, PropagationModel(), RandomStreams(3), kernel="vector")
+        medium = Medium(sim, PropagationModel(), RandomStreams(3))
         radios = _populate(medium, 30, 0.3, (1, 6), seed=9)
         sender = next(r for r in radios if r._static and r.channel == 1)
         sender.transmit(frames.beacon(sender.name))
@@ -392,7 +282,7 @@ class TestKernelEngagement:
 
     def test_static_membership_change_rebuilds(self):
         sim = Simulator()
-        medium = Medium(sim, PropagationModel(), RandomStreams(3), kernel="vector")
+        medium = Medium(sim, PropagationModel(), RandomStreams(3))
         radios = _populate(medium, 30, 0.0, (1,), seed=5)
         sender = radios[0]
         sender.transmit(frames.beacon(sender.name))
@@ -413,10 +303,9 @@ class TestKernelEngagement:
         # A neighbour unregisters and re-registers far away under a new
         # mobility: the pair cache must re-derive, and the sender's own
         # re-registration (partition handoff) clears its held state.
-        def outcome(kernel_name):
+        def outcome(medium_class):
             sim = Simulator()
-            medium = Medium(sim, PropagationModel(), RandomStreams(11),
-                            kernel=kernel_name)
+            medium = medium_class(sim, PropagationModel(), RandomStreams(11))
             sender = Radio(medium, StaticMobility(Point(0.0, 0.0)), 1,
                            name="s", address="s")
             neigh = Radio(medium, StaticMobility(Point(30.0, 0.0)), 1,
@@ -432,13 +321,12 @@ class TestKernelEngagement:
             sim.run()
             return log, neigh.frames_received, neigh.frames_lost, medium._rng.random()
 
-        assert outcome("vector") == outcome("scalar")
+        assert outcome(Medium) == outcome(OracleMedium)
 
     def test_handoff_clears_pair_state(self):
         sim = Simulator()
-        medium_a = Medium(sim, PropagationModel(), RandomStreams(1), kernel="vector")
-        medium_b = Medium(sim, PropagationModel(), RandomStreams(2),
-                          stream_name="phy-b", kernel="vector")
+        medium_a = Medium(sim, PropagationModel(), RandomStreams(1))
+        medium_b = Medium(sim, PropagationModel(), RandomStreams(2), stream_name="phy-b")
         sender = Radio(medium_a, StaticMobility(Point(0.0, 0.0)), 1, name="s")
         Radio(medium_a, StaticMobility(Point(10.0, 0.0)), 1, name="a")
         sender.transmit(frames.beacon("s"))
@@ -448,26 +336,3 @@ class TestKernelEngagement:
         sender.medium = medium_b
         medium_b.register(sender)
         assert sender._pair_state is None
-
-
-class TestSpecKernelField:
-    def test_default_kernel_omitted_from_canonical_form(self):
-        from repro.scenario.registry import scenario
-
-        spec = scenario("lab")
-        assert "kernel" not in spec.to_dict().get("phy", {})
-        scalar = spec.with_phy(kernel="scalar")
-        assert scalar.to_dict()["phy"]["kernel"] == "scalar"
-        assert scalar.digest() != spec.digest()
-
-    def test_unknown_kernel_rejected(self):
-        from repro.scenario.registry import scenario
-        from repro.scenario.spec import SpecError
-
-        with pytest.raises(SpecError):
-            scenario("lab").with_phy(kernel="simd").validated()
-
-    def test_medium_rejects_unknown_kernel(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Medium(sim, kernel="warp")

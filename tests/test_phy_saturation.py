@@ -15,9 +15,11 @@ on the air:
   turns queueing first, so the tie order flips from slot to slot.
 
 Both digests were recorded before the medium stopped keeping one heap
-entry per queued frame, and both PHY kernels must reproduce them.
+entry per queued frame. ``Medium`` and the reference full-channel scan
+(``tests/phy_oracle.py``) must both reproduce them.
 """
 
+import contextlib
 import hashlib
 import json
 from pathlib import Path
@@ -42,6 +44,7 @@ from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.world.geometry import Point
 from repro.world.mobility import MobilityModel, StaticMobility
+from tests.phy_oracle import OracleMedium, oracle_mediums
 
 GOLDENS = Path(__file__).parent / "goldens" / "scenario-digests.json"
 
@@ -76,9 +79,10 @@ def _co_channel_spec() -> ScenarioSpec:
     )
 
 
-def co_channel_run(kernel: str) -> dict:
-    spec = _co_channel_spec().with_phy(kernel=kernel)
-    world = build(spec)
+def co_channel_run(oracle: bool) -> dict:
+    spec = _co_channel_spec()
+    with oracle_mediums() if oracle else contextlib.nullcontext():
+        world = build(spec)
     drivers = make_fleet(world, spec)
     for driver in drivers:
         driver.start()
@@ -110,9 +114,10 @@ class _Drift(MobilityModel):
         return Point(-30.0 + 2.0 * time, self.y)
 
 
-def two_channel_run(kernel: str) -> dict:
+def two_channel_run(oracle: bool) -> dict:
     sim = Simulator()
-    medium = Medium(sim, PropagationModel(range_m=100.0), RandomStreams(11), kernel=kernel)
+    medium_class = OracleMedium if oracle else Medium
+    medium = medium_class(sim, PropagationModel(range_m=100.0), RandomStreams(11))
     log = []
     failures = []
     senders = {}
@@ -169,18 +174,18 @@ def two_channel_run(kernel: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "vector"])
-def test_co_channel_backlog_golden(kernel):
-    result = co_channel_run(kernel)
+@pytest.mark.parametrize("oracle", [False, True], ids=["medium", "oracle"])
+def test_co_channel_backlog_golden(oracle):
+    result = co_channel_run(oracle)
     # The world really saturates: channel 1 ends the window with far
     # more than a beacon interval of airtime still queued.
     assert result["backlog_s"] > 0.2
     assert _digest(result) == _SATURATED["co-channel-150"]
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "vector"])
-def test_two_channel_tie_golden(kernel):
-    result = two_channel_run(kernel)
+@pytest.mark.parametrize("oracle", [False, True], ids=["medium", "oracle"])
+def test_two_channel_tie_golden(oracle):
+    result = two_channel_run(oracle)
     assert result["backlog_s"] > 0.05
     # Completions on the two channels coincide to the bit: only the
     # engine's tie-break sequence orders them.

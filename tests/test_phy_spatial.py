@@ -1,12 +1,12 @@
-"""The spatial fan-out index vs the scalar oracle (DESIGN.md §6.2).
+"""The spatial fan-out index vs the reference scan (DESIGN.md §6.2).
 
 Every test here runs the same radio population and transmission
-sequence through two mediums — ``spatial_index=True`` (the grid) and
-``spatial_index=False`` (the historical full-channel scan) — seeded
-identically, and asserts the outcomes are *byte-identical*: the same
-frames delivered to the same radios in the same order, the same loss
-counters, and the same number of RNG draws consumed (probed by
-comparing the next draw). That is the digest-identity argument at
+sequence through two mediums — ``Medium`` (the grid) and
+``OracleMedium`` (the historical full-channel scan, kept in
+``tests/phy_oracle.py``) — seeded identically, and asserts the
+outcomes are *byte-identical*: the same frames delivered to the same
+radios in the same order, the same loss counters, and the same number
+of RNG draws consumed (probed by comparing the next draw). That is the digest-identity argument at
 unit scale; ``test_scenario_identity.py`` pins it at scenario scale.
 """
 
@@ -19,15 +19,15 @@ from repro.sim.engine import Simulator
 from repro.sim.randomness import RandomStreams
 from repro.world.geometry import Point
 from repro.world.mobility import StaticMobility, WaypointMobility
+from tests.phy_oracle import OracleMedium, oracle_mediums
 
 
-def _medium(spatial, range_m=100.0, loss=0.4, seed=7):
+def _medium(medium_class, range_m=100.0, loss=0.4, seed=7):
     sim = Simulator()
-    medium = Medium(
+    medium = medium_class(
         sim,
         PropagationModel(range_m=range_m, base_loss=loss, edge_start=0.99),
         RandomStreams(seed),
-        spatial_index=spatial,
     )
     return sim, medium
 
@@ -54,8 +54,8 @@ def _outcome(sim, medium, radios, sender, shots=6):
 def _compare(place):
     """Build both mediums, run ``place``, and diff the outcomes."""
     results = []
-    for spatial in (True, False):
-        sim, medium = _medium(spatial)
+    for medium_class in (Medium, OracleMedium):
+        sim, medium = _medium(medium_class)
         radios, sender = place(sim, medium)
         results.append(_outcome(sim, medium, radios, sender))
     assert results[0] == results[1]
@@ -118,8 +118,8 @@ class TestSpatialOracleIdentity:
             anchors = [_static(medium, 30.0 * i, 10.0, name=f"a{i}") for i in range(5)]
             return [sender, rover] + anchors, sender
 
-        def shots_over_time(spatial):
-            sim, medium = _medium(spatial)
+        def shots_over_time(medium_class):
+            sim, medium = _medium(medium_class)
             radios, sender = (lambda: place(sim, medium))()
             log = []
             for radio in radios:
@@ -136,14 +136,14 @@ class TestSpatialOracleIdentity:
                 medium._rng.random()
             )
 
-        assert shots_over_time(True) == shots_over_time(False)
+        assert shots_over_time(Medium) == shots_over_time(OracleMedium)
 
     def test_churn_retune_unregister_reregister(self):
         # Index maintenance under churn: retunes move grid entries
         # between channels, unregister/re-register re-pins — delivery
         # stays identical to the oracle throughout.
-        def run(spatial):
-            sim, medium = _medium(spatial)
+        def run(medium_class):
+            sim, medium = _medium(medium_class)
             sender = _static(medium, 0.0, name="s")
             near = _static(medium, 50.0, name="near")
             far = _static(medium, 250.0, name="far")
@@ -166,7 +166,7 @@ class TestSpatialOracleIdentity:
                 medium._rng.random()
             )
 
-        assert run(True) == run(False)
+        assert run(Medium) == run(OracleMedium)
 
 
 class TestStalePinRegression:
@@ -178,32 +178,32 @@ class TestStalePinRegression:
     """
 
     def test_relocated_radio_is_seen_at_new_position(self):
-        for spatial in (True, False):
-            sim, medium = _medium(spatial, loss=0.0)
+        for medium_class in (Medium, OracleMedium):
+            sim, medium = _medium(medium_class, loss=0.0)
             sender = _static(medium, 0.0, name="s")
             mover = _static(medium, 50.0, name="m")
             got = []
             mover.on_receive = got.append
             sender.transmit(frames.beacon("s"))
             sim.run()
-            assert len(got) == 1, f"spatial={spatial}"
+            assert len(got) == 1, medium_class.__name__
             # Out of range after relocation: a stale pin would deliver.
             medium.unregister(mover)
             mover.mobility = StaticMobility(Point(500.0, 0.0))
             medium.register(mover)
             sender.transmit(frames.beacon("s"))
             sim.run()
-            assert len(got) == 1, f"stale near-pin served (spatial={spatial})"
+            assert len(got) == 1, f"stale near-pin served ({medium_class.__name__})"
             # And back in range: a stale far-pin would *not* deliver.
             medium.unregister(mover)
             mover.mobility = StaticMobility(Point(10.0, 0.0))
             medium.register(mover)
             sender.transmit(frames.beacon("s"))
             sim.run()
-            assert len(got) == 2, f"stale far-pin served (spatial={spatial})"
+            assert len(got) == 2, f"stale far-pin served ({medium_class.__name__})"
 
     def test_relocated_radio_changes_grid_cell(self):
-        sim, medium = _medium(True, loss=0.0)
+        sim, medium = _medium(Medium, loss=0.0)
         mover = _static(medium, 50.0, name="m")
         assert mover._grid_cell == (0, 0)
         medium.unregister(mover)
@@ -214,7 +214,7 @@ class TestStalePinRegression:
         assert (0, 0) not in medium._grid.get(1, {})
 
     def test_mobility_swap_to_mobile_leaves_grid(self):
-        sim, medium = _medium(True, loss=0.0)
+        sim, medium = _medium(Medium, loss=0.0)
         mover = _static(medium, 50.0, name="m")
         medium.unregister(mover)
         mover.mobility = WaypointMobility([Point(0.0, 0.0), Point(100.0, 0.0)], speed=10.0)
@@ -225,14 +225,18 @@ class TestStalePinRegression:
 
 
 class TestScenarioOracleIdentity:
-    """Scenario-scale proof: spatial on/off yields identical results."""
+    """Scenario-scale proof: grid and reference scan yield identical results."""
 
     @pytest.mark.parametrize("name", ["metro-core-small", "dense-downtown"])
     def test_run_results_match_oracle(self, name):
-        from repro.scenario.build import run_spec, summarize_spec_run
+        from repro.scenario.build import build, run_spec, summarize_spec_run
         from repro.scenario.registry import scenario
 
         spec = scenario(name, duration=20.0)
         indexed = summarize_spec_run(run_spec(spec))
-        oracle = summarize_spec_run(run_spec(spec.with_phy(spatial_index=False)))
+        with oracle_mediums():
+            world = build(spec)
+            oracle = summarize_spec_run(run_spec(spec))
+        mediums = world.partitions.mediums if world.partitions else [world.medium]
+        assert all(type(medium) is OracleMedium for medium in mediums)
         assert indexed == oracle

@@ -106,7 +106,7 @@ class TestPartitionSpecRoundTrip:
         return ScenarioSpec(
             name="metro-test",
             deployment=DeploymentSpec(kind="metro", blocks_x=3, blocks_y=2, aps_per_block=1.5),
-            phy=PhySpec(spatial_index=False, handoff_period_s=0.25),
+            phy=PhySpec(handoff_period_s=0.25),
             partitions=(
                 PartitionSpec("west", 0.0, 0.0, 180.0, 240.0),
                 PartitionSpec("east", 180.0, 0.0, 360.0, 240.0),
@@ -138,7 +138,7 @@ class TestPartitionSpecRoundTrip:
 
     def test_new_fields_present_when_set(self):
         data = self._metro().to_dict()
-        assert data["phy"] == {"spatial_index": False, "handoff_period_s": 0.25}
+        assert data["phy"] == {"handoff_period_s": 0.25}
         assert [p["name"] for p in data["partitions"]] == ["west", "east"]
         assert data["deployment"]["blocks_x"] == 3
         # block_m stayed at its default, so it is still omitted.
@@ -428,6 +428,19 @@ class TestCli:
     def test_run_without_drivers_exit_2(self, capsys):
         assert self.run_cli(["run", "lab"]) == 2
         assert "no drivers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value", [("kernel", '"scalar"'), ("spatial_index", "false")]
+    )
+    def test_removed_phy_field_exit_2(self, tmp_path, capsys, field, value):
+        # The PHY has one delivery path; the flags that once selected
+        # another are unknown fields now, rejected without a traceback.
+        path = tmp_path / "legacy.toml"
+        path.write_text(f"{lab_spec(duration=20.0).to_toml()}\n[phy]\n{field} = {value}\n")
+        assert self.run_cli(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown PhySpec field(s): {field}" in err
+        assert "Traceback" not in err
 
     def test_bad_seeds_exit_2(self, capsys):
         assert self.run_cli(["sweep", "vehicular-amherst", "--seeds", "one,two"]) == 2

@@ -85,25 +85,22 @@ def test_scenario_digest_identity(name):
     )
 
 
-@pytest.mark.parametrize("kernel", ["scalar", "vector"])
 @pytest.mark.parametrize("name", sorted(_SCENARIO_GOLDEN["kernel_identity"]))
-def test_kernel_digest_identity(name, kernel):
-    """Both PHY kernels must reproduce one pinned per-scenario digest.
+def test_kernel_digest_identity(name):
+    """The PHY delivery path must reproduce one pinned per-scenario digest.
 
     The ``kernel_identity`` goldens digest the shard result *minus*
-    ``spec_digest`` — spelling the kernel out in the spec legitimately
-    changes the spec's canonical form, but must never change a single
-    byte of the simulation's output. One digest per scenario, matched
-    by both kernels, is the oracle proof at full-scenario scale
-    (DESIGN.md §6.3); the generated-world sweep in
-    ``tests/test_phy_kernel.py`` covers the parameter space around it.
+    ``spec_digest``: they were recorded when the spec could spell out
+    a delivery implementation, and every implementation had to match
+    them byte for byte. The one remaining path still must (DESIGN.md
+    §6.3); the generated-world sweep in ``tests/test_phy_kernel.py``
+    covers the parameter space around it against the reference scan.
     """
     spec = scenario(name, duration=_SCENARIO_GOLDEN["duration_s"])
-    shard = run_shard(spec.with_phy(kernel=kernel).to_dict())
+    shard = run_shard(spec.to_dict())
     shard.pop("spec_digest")
     digest = hashlib.sha256(canonical_text(shard).encode()).hexdigest()
     assert digest == _SCENARIO_GOLDEN["kernel_identity"][name], (
-        f"{name} under kernel={kernel} drifted from the kernel-identity "
-        "golden — the vectorized delivery no longer matches the scalar "
-        "oracle byte for byte"
+        f"{name} drifted from the kernel-identity golden — the PHY "
+        "delivery path no longer matches the recorded run byte for byte"
     )
