@@ -21,13 +21,15 @@ import hashlib
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Set
+from types import MappingProxyType
+from typing import Any, Callable, Deque, Dict, Optional, Set, Union, cast
 
 from repro.mac import frames
 from repro.mac.frames import Frame, FrameType
 from repro.obs import trace as tr
 from repro.phy.radio import Medium, Radio
 from repro.sim.engine import Simulator
+from repro.sim.randomness import ParkedStream
 from repro.world.geometry import Point
 from repro.world.mobility import StaticMobility
 
@@ -55,6 +57,17 @@ class ApConfig:
     client_timeout: float = 60.0
 
 
+#: Read-only stand-ins for the per-client containers of an AP that no
+#: client has spoken to yet. Every such AP shares them; the first
+#: client frame swaps in its own (``_admit_clients``). Reads see an
+#: empty container, and a write before the swap raises instead of
+#: leaking into every other AP.
+_NO_CLIENTS = cast(Set[str], frozenset())
+_NO_ENTRIES = cast(Dict[Any, Any], MappingProxyType({}))
+
+_BEACON = FrameType.BEACON
+
+
 class AccessPoint:
     """An 802.11 AP with PSM buffering and pluggable uplink."""
 
@@ -66,7 +79,7 @@ class AccessPoint:
         channel: int,
         position: Point,
         config: Optional[ApConfig] = None,
-        rng: Optional[random.Random] = None,
+        rng: Optional[Union[random.Random, ParkedStream]] = None,
     ):
         self.sim = sim
         self.name = name
@@ -80,20 +93,16 @@ class AccessPoint:
         self.radio = Radio(medium, StaticMobility(position), channel, name=name, address=name)
         self.radio.on_receive = self._on_frame
         self.radio.on_unicast_failure = self._on_tx_failure
-        self.authenticated: Set[str] = set()
-        self.associated: Set[str] = set()
-        self._psm_mode: Set[str] = set()
-        self._psm_buffers: Dict[str, Deque[Frame]] = {}
-        # Frames whose transmission failed (client raced us leaving the
-        # channel). They predate anything in the PSM buffer, so they are
-        # flushed first to preserve TCP ordering.
-        self._retry_buffers: Dict[str, Deque[Frame]] = {}
-        # Clients with at least one frame parked in either buffer: the
-        # per-frame wake check in ``_on_frame`` is one set lookup
-        # instead of two dict probes (it runs for every frame the AP
-        # hears, including every other AP's beacons).
-        self._parked: Set[str] = set()
-        self._last_heard: Dict[str, float] = {}
+        # Per-client state: shared empty stand-ins until a client frame
+        # arrives. A city-scale world has thousands of APs that only
+        # ever hear each other's beacons.
+        self.authenticated: Set[str] = _NO_CLIENTS
+        self.associated: Set[str] = _NO_CLIENTS
+        self._psm_mode: Set[str] = _NO_CLIENTS
+        self._psm_buffers: Dict[str, Deque[Frame]] = _NO_ENTRIES
+        self._retry_buffers: Dict[str, Deque[Frame]] = _NO_ENTRIES
+        self._parked: Set[str] = _NO_CLIENTS
+        self._last_heard: Dict[str, float] = _NO_ENTRIES
         self.on_uplink: Optional[Callable[[str, object], None]] = None
         self.on_associated: Optional[Callable[[str], None]] = None
         self.psm_drops = 0
@@ -106,6 +115,22 @@ class AccessPoint:
         metrics = sim.metrics
         if metrics is not None:
             metrics.add_source(lambda: {"ap.psm_drops": self.psm_drops})
+
+    def _admit_clients(self) -> None:
+        """Give this AP its own per-client containers (first client frame)."""
+        self.authenticated = set()
+        self.associated = set()
+        self._psm_mode = set()
+        self._psm_buffers = {}
+        # Frames whose transmission failed (client raced us leaving the
+        # channel). They predate anything in the PSM buffer, so they are
+        # flushed first to preserve TCP ordering.
+        self._retry_buffers = {}
+        # Clients with at least one frame parked in either buffer: the
+        # per-frame wake check in ``_on_frame`` is one set lookup
+        # instead of two dict probes.
+        self._parked = set()
+        self._last_heard = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -179,8 +204,15 @@ class AccessPoint:
     _FRAME_HANDLERS: Dict[FrameType, Callable[["AccessPoint", Frame], None]] = {}
 
     def _on_frame(self, frame: Frame) -> None:
+        # Beacons come only from other APs and have no handler. AP names
+        # never enter ``associated``, so ``_age_clients`` would never
+        # read a ``_last_heard`` entry for one.
+        if frame.type is _BEACON:
+            return
         if frame.dst != self.name and frame.dst != frames.BROADCAST:
             return
+        if self._last_heard is _NO_ENTRIES:
+            self._admit_clients()
         self._last_heard[frame.src] = self.sim.now
         # Hearing from a client not in PSM means it is awake: release
         # anything parked by PSM or TX-failure requeueing.

@@ -16,6 +16,7 @@ REQUEST → ACK. Messages ride as data-frame payloads through the AP.
 from __future__ import annotations
 
 import enum
+import hashlib
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
@@ -117,7 +118,10 @@ class DhcpServer:
             return ip
         if len(self._leases) >= self.config.pool_size:
             return None
-        ip = f"10.0.{hash(self.name) % 255}.{next(self._next_host)}"
+        # Not hash(): str hashing is salted per process, so the subnet
+        # (and every traced lease) would change from run to run.
+        digest = hashlib.sha256(self.name.encode()).digest()
+        ip = f"10.0.{int.from_bytes(digest[:8], 'big') % 255}.{next(self._next_host)}"
         self._leases[client] = ip
         return ip
 

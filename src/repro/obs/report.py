@@ -24,6 +24,7 @@ import json
 import platform
 import pstats
 import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -261,11 +262,24 @@ class GcPauses:
         )
 
 
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB.
+
+    ``ru_maxrss`` is in KiB on Linux and in bytes on macOS; the
+    benchmark suite's ``peak_rss_mb`` is the same KiB / 1024 reading.
+    """
+    import resource  # POSIX-only; imported where it is used
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def profile_call(fn, *args, top: int = 20, **kwargs):
     """Run ``fn`` under cProfile; returns ``(result, summary_text)``.
 
     The summary opens with the call's garbage-collector tally
     (:class:`GcPauses`, installed for this call only), then the
+    process's peak RSS after the call (:func:`peak_rss_mb`), then the
     cProfile table.
     """
     profiler = cProfile.Profile()
@@ -277,6 +291,7 @@ def profile_call(fn, *args, top: int = 20, **kwargs):
         gc.callbacks.remove(pauses)
     stream = io.StringIO()
     stream.write(pauses.summary() + "\n")
+    stream.write(f"mem: peak RSS {peak_rss_mb():.1f} MB\n")
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(top)
     return result, stream.getvalue()

@@ -145,13 +145,15 @@ class World:
 
         The AP and its DHCP server share the ``ap:{name}`` RNG stream —
         one stream per AP keeps per-AP behaviour independent of how
-        many other APs exist.
+        many other APs exist. The stream is parked once the AP has
+        drawn its beacon phase, so an AP no client joins holds a seed
+        and a draw count rather than a generator state.
         """
         if name in self.aps:
             raise BuildError(f"duplicate AP name {name!r}")
         if wired_latency is None:
             wired_latency = self.wired_latency
-        rng = self.streams.get(f"ap:{name}")
+        rng = self.streams.parked(f"ap:{name}")
         ap = AccessPoint(
             self.sim,
             self.medium_for(position),
@@ -171,6 +173,7 @@ class World:
         self.routers[name] = ApRouter(self.sim, ap, backhaul, dhcp)
         self.aps[name] = ap
         ap.start()
+        rng.park()
         return ap
 
     def add_lab_ap(

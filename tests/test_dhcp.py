@@ -1,5 +1,11 @@
 """Unit tests for the DHCP client and server."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.net.dhcp import (
     DhcpClient,
     DhcpClientConfig,
@@ -53,6 +59,37 @@ def test_full_exchange_binds():
     assert loop.client.bound
     assert len(loop.bound) == 1
     assert loop.bound[0].ip.startswith("10.0.")
+
+
+#: Binds one lease through ``Loopback`` and prints its address.
+_LEASE_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_dhcp import Loopback
+from repro.sim.engine import Simulator
+sim = Simulator()
+loop = Loopback(sim)
+loop.client.start()
+sim.run(until=5.0)
+print(loop.bound[0].ip)
+"""
+
+
+def test_lease_ip_independent_of_hash_seed():
+    """The subnet octet must not come from ``hash()``, which is salted
+    per process: two interpreters with different ``PYTHONHASHSEED``
+    values must hand out the same address."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    ips = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _LEASE_SCRIPT, tests],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        ips.add(out.stdout.strip())
+    assert len(ips) == 1 and ips.pop().startswith("10.0.")
 
 
 def test_acquisition_time_positive():

@@ -266,9 +266,10 @@ class TestPsm:
     def test_failed_frame_requeued_for_psm_client(self):
         """A frame racing the PSM announcement is parked, not dropped."""
         sim, _, ap, client = self._associated()
+        client.transmit(frames.null_data("cli", ap.name, pm=True))
+        sim.run()
         # The null was processed and the client retuned, but this frame
         # was already past the PSM check (transmitted directly).
-        ap._psm_mode.add("cli")
         client.set_channel(6)
         frame = frames.data_frame(ap.name, "cli", "raced", 500)
         ap.radio.transmit(frame)
@@ -296,7 +297,8 @@ class TestPsm:
     def test_retry_buffer_flushes_before_psm_buffer(self):
         """Ordering: raced frames predate PSM-buffered ones."""
         sim, _, ap, client = self._associated()
-        ap._psm_mode.add("cli")
+        client.transmit(frames.null_data("cli", ap.name, pm=True))
+        sim.run()
         client.set_channel(6)
         frame = frames.data_frame(ap.name, "cli", "first", 500)
         ap.radio.transmit(frame)  # fails -> retry buffer (client in PSM)

@@ -1,10 +1,11 @@
 """Unit + property tests for metrics collectors and statistics."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import stats
 from repro.metrics.collector import JoinLog, ThroughputRecorder
 from repro.metrics.stats import (
     cdf_at,
@@ -39,13 +40,26 @@ class TestStats:
     def test_percentile_interpolates(self):
         assert percentile([0, 10], 50) == 5.0
 
-    @pytest.mark.parametrize("n", [2, stats._BATCH_MIN])
+    @pytest.mark.parametrize("n", [2, 64])
     def test_percentile_of_subnormals_stays_in_range(self, n):
         # 5e-324 * 0.75 rounds to 0.0; the interpolation must clamp
-        # back to the bracketing order statistics (pure and numpy paths).
+        # back to the bracketing order statistics.
         tiny = 5e-324
         for q in (25, 50, 75):
             assert percentile([tiny] * n, q) == tiny
+
+    def test_percentile_preserves_int_returns(self):
+        result = percentile([1, 2, 3, 4, 5], 0)
+        assert result == 1 and type(result) is int
+
+    def test_stdev_squares_by_multiplication(self):
+        # ``(v - mu) ** 2`` rounds this delta's square one ulp away from
+        # ``(v - mu) * (v - mu)``; the goldens were recorded with the
+        # product.
+        values = [0.0] * 63 + [975848535.400963]
+        mu = sum(values) / len(values)
+        by_product = math.sqrt(sum((v - mu) * (v - mu) for v in values) / len(values))
+        assert stdev(values) == by_product
 
     def test_percentile_rejects_bad_q(self):
         with pytest.raises(ValueError):
@@ -82,109 +96,6 @@ class TestStats:
         xs, ys = empirical_cdf(values)
         assert all(b >= a for a, b in zip(ys, ys[1:]))
         assert all(b >= a for a, b in zip(xs, xs[1:]))
-
-
-#: Sequences long enough (≥ stats._BATCH_MIN) to take the numpy path.
-_batched_floats = st.lists(
-    st.floats(-1e9, 1e9), min_size=stats._BATCH_MIN, max_size=200
-)
-
-
-class TestStatsNumpyEquivalence:
-    """The numpy fast paths must match the pure-python paths bitwise.
-
-    Stats land in canonical result dicts whose SHA-256 digests the
-    golden tests pin, so "approximately equal" is not enough — every
-    float (and every int: ``percentile([1..5], 0)`` returns ``1``, not
-    ``1.0``) must be identical under both implementations. Each test
-    runs the same input through the live module and through a
-    pure-forced copy (``_np`` monkeypatched away) and asserts ``==``.
-    """
-
-    @given(values=_batched_floats)
-    @settings(max_examples=50, deadline=None)
-    def test_mean_bitwise(self, values):
-        with pytest.MonkeyPatch.context() as mp:
-            numpy_result = stats.mean(values)
-            mp.setattr(stats, "_np", None)
-            assert stats.mean(values) == numpy_result
-
-    @given(values=_batched_floats)
-    @settings(max_examples=50, deadline=None)
-    def test_stdev_bitwise(self, values):
-        with pytest.MonkeyPatch.context() as mp:
-            numpy_result = stats.stdev(values)
-            mp.setattr(stats, "_np", None)
-            assert stats.stdev(values) == numpy_result
-
-    def test_stdev_bitwise_on_pow_misrounding_input(self):
-        # ``(v - mu) ** 2`` rounds this delta's square one ulp away from
-        # ``(v - mu) * (v - mu)``; both branches must multiply.
-        values = [0.0] * 63 + [975848535.400963]
-        with pytest.MonkeyPatch.context() as mp:
-            numpy_result = stats.stdev(values)
-            mp.setattr(stats, "_np", None)
-            assert stats.stdev(values) == numpy_result
-
-    @given(
-        values=_batched_floats,
-        q=st.floats(min_value=0.0, max_value=100.0),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_percentile_bitwise(self, values, q):
-        with pytest.MonkeyPatch.context() as mp:
-            numpy_result = stats.percentile(values, q)
-            mp.setattr(stats, "_np", None)
-            assert stats.percentile(values, q) == numpy_result
-
-    @given(values=_batched_floats)
-    @settings(max_examples=50, deadline=None)
-    def test_empirical_cdf_bitwise(self, values):
-        with pytest.MonkeyPatch.context() as mp:
-            numpy_result = stats.empirical_cdf(values)
-            mp.setattr(stats, "_np", None)
-            assert stats.empirical_cdf(values) == numpy_result
-
-    @given(values=_batched_floats, x=st.floats(-1e9, 1e9))
-    @settings(max_examples=50, deadline=None)
-    def test_cdf_at_bitwise(self, values, x):
-        with pytest.MonkeyPatch.context() as mp:
-            numpy_result = stats.cdf_at(values, x)
-            mp.setattr(stats, "_np", None)
-            assert stats.cdf_at(values, x) == numpy_result
-
-    @given(values=_batched_floats)
-    @settings(max_examples=25, deadline=None)
-    def test_summarize_bitwise(self, values):
-        with pytest.MonkeyPatch.context() as mp:
-            numpy_result = stats.summarize(values)
-            mp.setattr(stats, "_np", None)
-            assert stats.summarize(values) == numpy_result
-
-    def test_small_inputs_never_touch_numpy(self, monkeypatch):
-        """Below _BATCH_MIN the pure path runs even with numpy present,
-        so a numpy-free deployment behaves identically by construction."""
-        calls = []
-
-        class _Explode:
-            def __getattr__(self, name):
-                calls.append(name)
-                raise AssertionError("numpy touched for a small input")
-
-        monkeypatch.setattr(stats, "_np", _Explode())
-        values = [float(i) for i in range(stats._BATCH_MIN - 1)]
-        stats.mean(values)
-        stats.stdev(values)
-        stats.percentile(values, 75.0)
-        stats.empirical_cdf(values)
-        stats.cdf_at(values, 3.0)
-        stats.summarize(values)
-        assert calls == []
-
-    def test_pure_path_preserves_int_returns(self, monkeypatch):
-        monkeypatch.setattr(stats, "_np", None)
-        result = stats.percentile([1, 2, 3, 4, 5], 0)
-        assert result == 1 and type(result) is int
 
 
 class TestThroughputRecorder:

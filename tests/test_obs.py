@@ -255,6 +255,14 @@ class TestProvenance:
         assert gen2 >= 1
         assert "s paused" in text.splitlines()[0]
 
+    def test_profile_call_reports_peak_rss_after_gc_line(self):
+        size_mb = 32
+        _, text = profile_call(lambda: len(b"x" * (size_mb << 20)))
+        gc_line, mem_line = text.splitlines()[:2]
+        assert gc_line.startswith("gc: ")
+        assert mem_line.startswith("mem: peak RSS ") and mem_line.endswith(" MB")
+        assert float(mem_line.split()[3]) >= size_mb
+
 
 @pytest.mark.slow
 class TestEndToEndTracing:

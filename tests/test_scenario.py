@@ -10,6 +10,7 @@ import pytest
 from repro.exec.cache import canonical_text
 from repro.exec.shards import Shard
 from repro.exec.workers import ExecPolicy, execute_shards
+from repro.mac.ap import _NO_CLIENTS, _NO_ENTRIES
 from repro.scenario import (
     ApSpec,
     BuildError,
@@ -270,6 +271,41 @@ class TestBuildPausesCollector:
         assert state["collections"] == 0
 
 
+class TestColdApFootprint:
+    """An AP no client has spoken to holds no RNG state and no
+    per-client containers."""
+
+    PER_CLIENT = (
+        "authenticated", "associated", "_psm_mode", "_parked",
+        "_psm_buffers", "_retry_buffers", "_last_heard",
+    )
+
+    def has_client_state(self, ap):
+        shared = {id(_NO_CLIENTS), id(_NO_ENTRIES)}
+        held = [id(getattr(ap, attr)) not in shared for attr in self.PER_CLIENT]
+        assert len(set(held)) == 1, f"{ap.name}: partly allocated {held}"
+        return held[0]
+
+    def test_built_world_is_cold(self):
+        world = build(scenario("metro-core-small"))
+        assert world.aps
+        for name, ap in world.aps.items():
+            assert world.streams.parked(f"ap:{name}")._live is None
+            assert not self.has_client_state(ap)
+
+    def test_only_aps_a_client_reached_hold_client_state(self):
+        spec = scenario("metro-core-small")
+        world = build(spec)
+        for driver in make_fleet(world, spec):
+            driver.start()
+        world.sim.run(until=5.0)
+        warm = {name for name, ap in world.aps.items() if self.has_client_state(ap)}
+        joined = {name for name, ap in world.aps.items() if ap.associated}
+        assert joined and joined <= warm < set(world.aps)
+        for name in set(world.aps) - warm:
+            assert world.streams.parked(f"ap:{name}")._live is None
+
+
 class TestBuildAndRun:
     def test_explicit_world_has_declared_aps(self):
         world = build(lab_spec())
@@ -499,7 +535,8 @@ class TestCli:
         gc_lines = [index for index, line in enumerate(lines) if line.startswith("gc: ")]
         assert len(gc_lines) == 1
         assert "collections (gen0/gen1/gen2)" in lines[gc_lines[0]]
-        assert "function calls" in lines[gc_lines[0] + 1]
+        assert lines[gc_lines[0] + 1].startswith("mem: peak RSS ")
+        assert "function calls" in lines[gc_lines[0] + 2]
         assert "run_shard" in out
         # In-process: no exec summary, nothing written to the cache.
         assert not any(line.startswith("exec:") for line in lines)

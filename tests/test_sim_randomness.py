@@ -1,6 +1,12 @@
 """Unit tests for named RNG streams."""
 
-from repro.sim.randomness import RandomStreams
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.randomness import ParkedStream, RandomStreams
 
 
 def test_same_name_returns_same_stream():
@@ -77,3 +83,60 @@ def test_named_stream_derivation_unchanged():
     experiment output depends on them (the fork fix must not move
     them; the pinned value is from the original seed implementation)."""
     assert RandomStreams(seed=7)._derive_seed("phy") == 10326783612299810866
+
+
+#: One call on a parked stream: a ``uniform(a, b)`` draw, or ``None``
+#: for a ``park()``.
+_calls = st.lists(
+    st.one_of(
+        st.none(),
+        st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    ),
+    max_size=40,
+)
+
+
+@given(seed=st.integers(0, 2**64 - 1), calls=_calls)
+@settings(max_examples=100, deadline=None)
+def test_parked_stream_replays_plain_sequence(seed, calls):
+    """Parking anywhere in a sequence of draws changes no value."""
+    parked, plain = ParkedStream(seed), random.Random(seed)
+    for call in calls:
+        if call is None:
+            parked.park()
+            assert parked._live is None
+        else:
+            assert parked.uniform(*call) == plain.uniform(*call)
+    assert parked.random() == plain.random()
+
+
+def test_parked_stream_holds_no_state_until_drawn():
+    stream = ParkedStream(3)
+    assert stream._live is None
+    stream.uniform(0, 1)
+    assert stream._live is not None and stream.draws == 1
+    stream.park()
+    assert stream._live is None and stream.draws == 1
+
+
+@pytest.mark.parametrize("method", ["gauss", "randint", "choice", "shuffle", "getstate"])
+def test_parked_stream_rejects_unreplayable_methods(method):
+    stream = ParkedStream(3)
+    with pytest.raises(AttributeError, match="has no attribute"):
+        getattr(stream, method)
+
+
+def test_parked_stream_draws_what_get_would():
+    parked = RandomStreams(seed=4).parked("ap:x")
+    plain = RandomStreams(seed=4).get("ap:x")
+    assert [parked.random() for _ in range(3)] == [plain.random() for _ in range(3)]
+
+
+def test_parked_and_plain_streams_do_not_share_a_name():
+    streams = RandomStreams(seed=4)
+    assert streams.parked("ap:x") is streams.parked("ap:x")
+    streams.get("phy")
+    with pytest.raises(ValueError, match="created parked"):
+        streams.get("ap:x")
+    with pytest.raises(ValueError, match="created unparked"):
+        streams.parked("phy")
