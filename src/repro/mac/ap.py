@@ -107,6 +107,9 @@ class AccessPoint:
         self.on_associated: Optional[Callable[[str], None]] = None
         self.psm_drops = 0
         self._beaconing = False
+        #: ``_beacon_tick`` bound once: each reschedule then allocates
+        #: only its heap entry, not a fresh bound method.
+        self._tick = self._beacon_tick
         #: Beacons are immutable after construction and nothing in the
         #: stack keeps per-frame state for them (``Frame.seq`` only
         #: feeds ``__repr__``), so one frame object serves every tick
@@ -141,14 +144,14 @@ class AccessPoint:
         self._beaconing = True
         # Desynchronise beacons across APs sharing a channel.
         initial = self._rng.uniform(0, self.config.beacon_interval)
-        self.sim.schedule(initial, self._beacon_tick)
+        self.sim.schedule(initial, self._tick)
         self.sim.schedule(self.config.client_timeout, self._age_clients)
 
     def _beacon_tick(self) -> None:
         if not self._beaconing:
             return
         self.radio.transmit(self._beacon_frame)
-        self.sim.schedule(self.config.beacon_interval, self._beacon_tick)
+        self.sim.schedule(self.config.beacon_interval, self._tick)
 
     def stop(self) -> None:
         self._beaconing = False

@@ -12,7 +12,7 @@ hands received frames to whatever MAC entity registered ``on_receive``.
 
 The medium is fully indexed so the delivery path does no linear work
 over the fleet (DESIGN.md §6): an address→radio map, an
-interference-loss memo, an airtime memo, and a uniform-grid *spatial*
+airtime memo, and a uniform-grid *spatial*
 index (cell size = the propagation horizon, DESIGN.md §6.2) that
 restricts broadcast fan-out to the sender's 3×3 cell neighbourhood
 plus the channel's mobile radios, so per-frame cost scales with *local
@@ -137,6 +137,11 @@ class Radio:
         #: key for a static sender — and revalidated against the
         #: medium's split membership epochs on every broadcast.
         self._pair_state: Any = None
+        #: Reach horizons of a static sender (``Medium._deliver_static``):
+        #: mobile receiver → ``(until, mobility)``, the time before
+        #: which that receiver, under that mobility model, cannot be in
+        #: range. None until the first out-of-range mobile is seen.
+        self._horizons: Optional[Dict["Radio", Tuple[float, MobilityModel]]] = None
         medium.register(self)
 
     def _repin(self) -> None:
@@ -151,6 +156,7 @@ class Radio:
         self._position_time = None
         self._position_value = self.mobility.position(0.0) if self._static else None
         self._pair_state = None
+        self._horizons = None
 
     def position(self):
         if self._static:
@@ -277,17 +283,11 @@ class Medium:
         self._by_address: Dict[str, List[Radio]] = {}
         self._registrations = 0
         self._channel_busy_until: Dict[int, float] = {}
-        #: Bumped whenever ``_channel_busy_until`` changes; together
-        #: with ``sim.now`` it keys the interference-loss memo, so a
-        #: memo hit is provably identical to recomputing.
-        self._busy_version = 0
-        self._interference_key: Tuple[float, int] = (-1.0, -1)
-        self._interference_memo: Dict[int, float] = {}
         #: Channels spectrally within 4 of some channel that has ever
         #: carried a transmission. A channel outside this set provably
         #: has zero interference loss (no overlapping channel is in the
         #: busy map at all), so the common all-orthogonal case — the
-        #: paper's 1/6/11 deployments — skips the memo machinery
+        #: paper's 1/6/11 deployments — skips the overlap sum
         #: entirely. Synced lazily from the busy map's key set (keys
         #: are never removed, so the key count is a faithful version).
         self._interference_prone: set = set()
@@ -299,7 +299,7 @@ class Medium:
         #: append-only). Caching the pairs keeps ``_compute_interference``
         #: from re-deriving overlaps per call; summing the cached list
         #: adds the same floats in the same order as the historical
-        #: full-map walk, so memo entries stay bit-identical.
+        #: full-map walk, so the result stays bit-identical.
         self._overlap_pairs: Dict[int, Tuple[int, List[Tuple[int, float]]]] = {}
         #: (size_bytes, rate_bps) → airtime; frames are few-shaped, so
         #: this converges to a handful of entries per workload.
@@ -508,7 +508,6 @@ class Medium:
         start = busy_until if busy_until > now else now
         end = start + airtime
         self._channel_busy_until[channel] = end
-        self._busy_version += 1
         unacked = getattr(frame, "broadcast", False) or not getattr(frame, "needs_ack", False)
         delay = end - now
         if busy_until <= now:
@@ -588,11 +587,9 @@ class Medium:
         circuit to zero — exact, because a nonzero contribution needs a
         busy overlapping channel, and every channel that ever carried a
         frame marked its neighbours interference-prone. Prone channels
-        fall back to a memo per ``(sim.now, busy-map version)``: a
-        broadcast fan-out computes the loss once per completion instead
-        of once per receiver, and any change to the busy map
-        invalidates the memo, so a hit is byte-identical to
-        recomputing.
+        sum the overlap pairs that are busy at ``sim.now``. Delivery
+        asks once per completion, at the first receiver that draws
+        (DESIGN.md §6.3).
         """
         if self.adjacent_channel_loss <= 0.0:
             return 0.0
@@ -608,18 +605,6 @@ class Medium:
             self._prone_synced_channels = len(busy)
             if channel not in prone:
                 return 0.0
-        key = (self.sim.now, self._busy_version)
-        if key != self._interference_key:
-            self._interference_key = key
-            self._interference_memo = {}
-        memo = self._interference_memo
-        extra = memo.get(channel)
-        if extra is None:
-            extra = self._compute_interference(channel)
-            memo[channel] = extra
-        return extra
-
-    def _compute_interference(self, channel: int) -> float:
         now = self.sim.now
         busy = self._channel_busy_until
         cached = self._overlap_pairs.get(channel)
@@ -700,15 +685,12 @@ class Medium:
         sender_pos = sender.position()
         sender_x = sender_pos.x
         sender_y = sender_pos.y
-        extra_loss = self.interference_loss(channel)
         frame_air = self.airtime(frame) if airtime is None else airtime
         if sender._static:
             # Static sender: the fan-out's static geometry is a constant
             # of the channel's static membership — deliver from the
             # precomputed pair list, skipping the snapshot fetch.
-            self._deliver_static(
-                sender, frame, channel, now, sender_x, sender_y, extra_loss, frame_air,
-            )
+            self._deliver_static(sender, frame, channel, now, sender_x, sender_y, frame_air)
             return
         entries = self._local_entries(channel, sender_x, sender_y)
         if not entries:
@@ -723,6 +705,10 @@ class Medium:
         rssi_at = self.rssi_at
         draw = self._rng.random
         trace = self.sim.trace
+        # Interference is asked for at the first receiver that draws:
+        # no handler has run by then, so it equals the value at the
+        # start of the fan-out.
+        extra_loss: Optional[float] = None
         # The snapshot list is never mutated in place (handlers that
         # retune/register/unregister only *replace* it via cache
         # invalidation), so iterating it while handlers run is safe.
@@ -743,6 +729,8 @@ class Medium:
             dist = _hypot(dx, sender_y - y)
             if dist > range_m:
                 continue
+            if extra_loss is None:
+                extra_loss = self.interference_loss(channel)
             loss = (base_floor if dist <= fringe_start else base_loss_at(dist)) + extra_loss
             if draw() < (loss if loss < 1.0 else 1.0):
                 radio.frames_lost += 1
@@ -834,7 +822,6 @@ class Medium:
         now: float,
         sender_x: float,
         sender_y: float,
-        extra_loss: float,
         frame_air: float,
     ) -> None:
         """Broadcast delivery for a static sender via the pair cache.
@@ -847,6 +834,12 @@ class Medium:
         state — run its full per-visit body, merged back in
         registration (``reg_seq``) order so the RNG draw sequence is
         unchanged.
+
+        A mobile receiver found out of range at distance ``d`` gets a
+        *reach horizon* on the sender (DESIGN.md §6.3): it cannot come
+        within ``range_m`` before ``now + (d - range_m - 1) /
+        max_speed``, so until then it is skipped without evaluating its
+        position. The full loop would reject it too, without a draw.
         """
         # Inlined hit path of ``_sender_pairs`` — this runs once per
         # transmitted frame at steady state, so the call is worth
@@ -865,10 +858,13 @@ class Medium:
             statics, mobiles = self._sender_pairs(sender, channel, sender_x, sender_y)
         draw = self._rng.random
         trace = self.sim.trace
+        extra_loss: Optional[float] = None
         if not mobiles:
             for _row, radio, base, rssi in statics:
                 if radio.channel != channel or now < radio.deaf_until:
                     continue
+                if extra_loss is None:
+                    extra_loss = self.interference_loss(channel)
                 loss = base + extra_loss
                 if draw() < (loss if loss < 1.0 else 1.0):
                     radio.frames_lost += 1
@@ -886,6 +882,7 @@ class Medium:
         base_floor = propagation.base_loss
         base_loss_at = propagation.loss_probability
         rssi_at = self.rssi_at
+        horizons = sender._horizons
         static_index = 0
         static_count = len(statics)
         mobile_index = 0
@@ -899,6 +896,8 @@ class Medium:
                 static_index += 1
                 if radio.channel != channel or now < radio.deaf_until:
                     continue
+                if extra_loss is None:
+                    extra_loss = self.interference_loss(channel)
                 loss = base + extra_loss
                 dist = None
             else:
@@ -906,13 +905,26 @@ class Medium:
                 mobile_index += 1
                 if radio is sender or radio.channel != channel or now < radio.deaf_until:
                     continue
+                mobility = radio.mobility
+                if horizons is not None:
+                    held = horizons.get(radio)
+                    if held is not None and now < held[0] and held[1] is mobility:
+                        continue
                 pos = radio.position()
                 dx = sender_x - pos.x
-                if dx > range_m or -dx > range_m:
-                    continue
                 dist = _hypot(dx, sender_y - pos.y)
-                if dist > range_m:
+                if dx > range_m or -dx > range_m or dist > range_m:
+                    speed = mobility.max_speed
+                    if speed is not None and dist > range_m + 1.0:
+                        if horizons is None:
+                            horizons = sender._horizons = {}
+                        horizons[radio] = (
+                            now + (dist - range_m - 1.0) / speed if speed > 0.0 else math.inf,
+                            mobility,
+                        )
                     continue
+                if extra_loss is None:
+                    extra_loss = self.interference_loss(channel)
                 loss = (base_floor if dist <= fringe_start else base_loss_at(dist)) + extra_loss
             if draw() < (loss if loss < 1.0 else 1.0):
                 radio.frames_lost += 1
@@ -953,7 +965,6 @@ class Medium:
                 airtime = self.airtime(frame)
                 busy_until = self._channel_busy_until.get(channel, 0.0)
                 self._channel_busy_until[channel] = max(busy_until, self.sim.now + airtime)
-                self._busy_version += 1
                 self.sim.schedule(airtime, self._deliver_unicast, sender, frame, channel, attempt + 1)
             else:
                 self._report_tx_failure(sender, frame)

@@ -1,7 +1,10 @@
 """Core discrete-event simulation engine.
 
-The engine is a heap of ``(time, sequence, callback)`` entries. Sequence
-numbers break ties so that runs are fully deterministic for a given seed.
+The engine is a heap of ``(time, sequence, callback, args)`` entries.
+Sequence numbers break ties so that runs are fully deterministic for a
+given seed. Only cancellable events (:meth:`Simulator.schedule_cancellable`,
+used by :class:`~repro.sim.timers.Timer`) carry an :class:`EventHandle`:
+their entry is ``(time, sequence, handle, None)``.
 On top of the raw callback API sits a small generator-based process layer
 (in the style of SimPy): a process is a generator that yields
 :class:`Timeout`, :class:`Event`, or another :class:`Process`, and is
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 
@@ -44,18 +48,17 @@ def set_default_observability(
 class EventHandle:
     """A cancellable reference to a scheduled callback.
 
-    Returned by :meth:`Simulator.schedule`. Cancelling a handle is O(1):
-    the heap entry is tombstoned and skipped when popped. ``cancelled``
-    means "will not / did not run via this handle any more": the engine
-    also sets it when the callback fires, which makes a late
-    :meth:`cancel` a no-op and keeps the simulator's O(1) tombstone
-    count honest without any hot-path bookkeeping.
+    Returned by :meth:`Simulator.schedule_cancellable`. Cancelling a
+    handle is O(1): the heap entry is tombstoned and skipped when
+    popped. ``cancelled`` means "will not / did not run via this handle
+    any more": the engine also sets it when the callback fires, which
+    makes a late :meth:`cancel` a no-op and keeps the simulator's O(1)
+    tombstone count honest without any hot-path bookkeeping.
 
-    The heap holds plain ``(time, seq, handle)`` tuples: ``seq`` is
+    The heap entry is ``(time, seq, handle, None)``: the ``None`` in the
+    args slot tells the run loop to fire through the handle. ``seq`` is
     unique, so heap sifting only ever compares floats and ints at C
-    speed and never calls back into Python — measurably cheaper than
-    making the (slotted) handle itself comparable, which cost one
-    ``__lt__`` frame per comparison on million-event runs.
+    speed and never reaches the handle.
     """
 
     __slots__ = ("time", "seq", "cancelled", "_callback", "_args", "_sim")
@@ -242,8 +245,8 @@ class Simulator:
 
     >>> sim = Simulator()
     >>> log = []
-    >>> _ = sim.schedule(1.0, log.append, "a")
-    >>> _ = sim.schedule(0.5, log.append, "b")
+    >>> sim.schedule(1.0, log.append, "a")
+    >>> sim.schedule(0.5, log.append, "b")
     >>> sim.run()
     >>> log
     ['b', 'a']
@@ -251,7 +254,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, EventHandle]] = []
+        #: ``(time, seq, callback, args)`` entries, or ``(time, seq,
+        #: handle, None)`` for cancellable ones.
+        self._heap: List[Tuple[float, int, Any, Any]] = []
         self._sequence = itertools.count()
         #: ``reserve_seq()`` takes the next tie-break sequence number
         #: without scheduling: together with :meth:`schedule_reserved`
@@ -292,23 +297,35 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
-        """Run ``callback(*args)`` after ``delay`` simulated seconds."""
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback(*args)`` after ``delay`` simulated seconds.
+
+        The event cannot be cancelled; use :meth:`schedule_cancellable`
+        for one that may be.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        heapq.heappush(self._heap, (self.now + delay, next(self._sequence), callback, args))
+
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback(*args)`` at absolute simulated time ``time``."""
+        self.schedule(time - self.now, callback, *args)
+
+    def schedule_cancellable(
+        self, delay: float, callback: Callable[..., Any], *args: Any
+    ) -> EventHandle:
+        """Like :meth:`schedule`, but return a handle that can cancel it."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         time = self.now + delay
         seq = next(self._sequence)
         handle = EventHandle(self, time, callback, args, seq)
-        heapq.heappush(self._heap, (time, seq, handle))
+        heapq.heappush(self._heap, (time, seq, handle, None))
         return handle
-
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
-        """Run ``callback(*args)`` at absolute simulated time ``time``."""
-        return self.schedule(time - self.now, callback, *args)
 
     def schedule_reserved(
         self, time: float, seq: int, callback: Callable[..., Any], *args: Any
-    ) -> EventHandle:
+    ) -> None:
         """Run ``callback(*args)`` at absolute ``time`` under a reserved ``seq``.
 
         ``seq`` must come from ``reserve_seq()`` and be pushed once.
@@ -318,9 +335,7 @@ class Simulator:
         """
         if time < self.now:
             raise SimulationError(f"cannot schedule in the past (time={time}, now={self.now})")
-        handle = EventHandle(self, time, callback, args, seq)
-        heapq.heappush(self._heap, (time, seq, handle))
-        return handle
+        heapq.heappush(self._heap, (time, seq, callback, args))
 
     def event(self) -> Event:
         """Create a fresh (untriggered) :class:`Event`."""
@@ -344,23 +359,25 @@ class Simulator:
         """Execute the single next event. Returns False if none remain.
 
         The single-step entry point for tests and campaign drivers; the
-        run loop does not call it — ``_run_loop`` inlines the same body
-        with a batched same-timestamp drain.
+        run loop does not call it — ``_run_loop`` inlines the same body.
         """
         heap = self._heap
         pop = heapq.heappop
         while heap:
-            time, _, handle = pop(heap)
-            if handle.cancelled:
-                self._cancelled_pending -= 1
-                continue
+            time, _, callback, args = pop(heap)
+            if args is None:
+                if callback.cancelled:
+                    self._cancelled_pending -= 1
+                    continue
+                # Mark consumed: a later cancel() must be a no-op.
+                callback.cancelled = True
+                args = callback._args
+                callback = callback._callback
             if time < self.now:
                 raise SimulationError("event heap corrupted: time went backwards")
-            # Mark consumed: a later cancel() must be a no-op.
-            handle.cancelled = True
             self.now = time
             self.events_executed += 1
-            handle._callback(*handle._args)
+            callback(*args)
             return True
         return False
 
@@ -385,59 +402,57 @@ class Simulator:
         self._run_loop(until)
 
     def _run_loop(self, until: Optional[float]) -> None:
-        """The inlined hot loop: batched same-timestamp dispatch.
+        """The inlined hot loop: one peek and one pop per event.
 
-        Discrete-event workloads are bursty in simulated time — a
-        broadcast completion fans out dozens of zero-delay deliveries
-        and process resumes sharing one timestamp. The loop drains
-        every heap entry sharing ``now`` in one iteration: the clock
-        write, the monotonicity check, and (in bounded mode) the
-        deadline peek happen once per *timestamp*, not once per event,
-        with the pop/tombstone/fire locals hoisted out of the drain.
-        ``events_executed`` still advances per callback (metrics
-        snapshots scheduled inside a batch must observe the exact
-        per-event count the unbatched loop produced), and ``stop()``
-        still takes effect after the current callback returns.
+        The peek sweeps tombstones and checks the deadline before the
+        pop, so an entry past ``until`` stays on the heap, and
+        tombstones at its head are gone — ``pending_events`` and
+        ``heap_depth`` read the same whichever way the loop stopped. A
+        plain entry fires straight from its tuple; a cancellable one
+        (``args`` is ``None``) through its handle, which is marked
+        consumed first. The clock is written only when time advances.
+        ``events_executed`` advances per callback (a metrics snapshot
+        taken inside a callback sees the exact count), and ``stop()``
+        takes effect after the current callback returns.
         """
         self._stopped = False
         heap = self._heap
         pop = heapq.heappop
-        while not self._stopped:
-            # Advance to the next live entry (tombstone sweep).
-            while heap:
-                time, _, handle = heap[0]
-                if handle.cancelled:
+        limit = math.inf if until is None else until
+        now = self.now
+        while heap:
+            time, _, callback, args = heap[0]
+            if args is None:
+                if callback.cancelled:
                     pop(heap)
                     self._cancelled_pending -= 1
                     continue
-                break
-            else:
-                break
-            if time < self.now:
-                raise SimulationError("event heap corrupted: time went backwards")
-            if until is not None and time > until:
-                break
-            self.now = time
-            # Drain everything sharing this timestamp, including
-            # zero-delay events the callbacks push while we drain.
-            while heap and heap[0][0] == time:
-                entry_handle = pop(heap)[2]
-                if entry_handle.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                entry_handle.cancelled = True
-                self.events_executed += 1
-                entry_handle._callback(*entry_handle._args)
-                if self._stopped:
+                if time > limit:
                     break
+                pop(heap)
+                callback.cancelled = True
+                args = callback._args
+                callback = callback._callback
+            else:
+                if time > limit:
+                    break
+                pop(heap)
+            if time != now:
+                if time < now:
+                    raise SimulationError("event heap corrupted: time went backwards")
+                self.now = now = time
+            self.events_executed += 1
+            callback(*args)
+            if self._stopped:
+                break
         if until is not None and until > self.now:
             self.now = until
 
     def _next_pending_time(self) -> Optional[float]:
         heap = self._heap
         while heap:
-            time, _, handle = heap[0]
-            if handle.cancelled:
+            time, _, callback, args = heap[0]
+            if args is None and callback.cancelled:
                 heapq.heappop(heap)
                 self._cancelled_pending -= 1
                 continue

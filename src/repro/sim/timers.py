@@ -41,7 +41,7 @@ class Timer:
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer to fire after ``delay`` seconds."""
         self.cancel()
-        self._handle = self._sim.schedule(delay, self._fire)
+        self._handle = self._sim.schedule_cancellable(delay, self._fire)
 
     def cancel(self) -> None:
         """Disarm the timer if armed. Safe to call when idle."""

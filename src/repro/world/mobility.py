@@ -12,13 +12,19 @@ repeatedly following the same closed route, as the paper's cars did
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.world.geometry import Point, interpolate
 
 
 class MobilityModel:
     """Interface: position as a function of time."""
+
+    #: An upper bound on speed (m/s) over all time: |p(t2) - p(t1)| <=
+    #: max_speed * |t2 - t1|. ``None`` means unknown; the PHY never
+    #: skips a receiver whose model does not state a bound (DESIGN.md
+    #: §6.3).
+    max_speed: Optional[float] = None
 
     def position(self, time: float) -> Point:
         raise NotImplementedError
@@ -42,6 +48,8 @@ class MobilityModel:
 class StaticMobility(MobilityModel):
     """A node that never moves (indoor / laboratory experiments)."""
 
+    max_speed = 0.0
+
     def __init__(self, point: Point):
         self._point = point
 
@@ -62,6 +70,7 @@ class ConstantVelocityMobility(MobilityModel):
     def __init__(self, origin: Point, velocity: Point):
         self._origin = origin
         self._velocity = velocity
+        self.max_speed = velocity.norm()
 
     def position(self, time: float) -> Point:
         return self._origin + self._velocity.scaled(time)
@@ -80,6 +89,7 @@ class WaypointMobility(MobilityModel):
             raise ValueError("speed must be positive")
         self._waypoints = list(waypoints)
         self._speed = speed
+        self.max_speed = speed
         self._cumulative = self._cumulative_lengths(self._waypoints)
 
     @staticmethod

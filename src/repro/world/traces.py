@@ -48,6 +48,10 @@ class TraceMobility(MobilityModel):
                 raise ValueError("trace timestamps must be strictly increasing")
         self._points = ordered
         self._times = [p.time for p in ordered]
+        self.max_speed = max(
+            (b.position - a.position).norm() / (b.time - a.time)
+            for a, b in zip(ordered, ordered[1:])
+        )
 
     @property
     def duration(self) -> float:

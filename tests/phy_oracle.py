@@ -4,10 +4,12 @@
 historical loop the production path must reproduce byte for byte:
 visit every registered radio in registration order, keep the ones
 tuned to the frame's channel, and draw one loss uniform for each
-receiver in range. No spatial grid, no snapshot cache, no pair cache.
-Everything else (the airtime FIFO, unicast ARQ, interference memo) is
-inherited unchanged, so a difference between an ``OracleMedium`` run
-and a ``Medium`` run is a difference in broadcast delivery alone.
+receiver in range. No spatial grid, no snapshot cache, no pair cache,
+no reach horizon, and the interference loss is computed up front for
+every completion. Everything else (the airtime FIFO, unicast ARQ, the
+interference formula) is inherited unchanged, so a difference between
+an ``OracleMedium`` run and a ``Medium`` run is a difference in
+broadcast delivery alone.
 
 The identity tests (``test_phy_kernel.py``, ``test_phy_spatial.py``)
 run the same seeded world through both and compare every delivery,

@@ -379,20 +379,20 @@ class TestMediumIndexes:
         sim.run()
         assert len(got) == 2
 
-    def test_interference_memo_invalidated_same_timestamp(self):
+    def test_interference_sees_same_timestamp_busy_change(self):
         sim, medium = _world()
         r3 = _radio(medium, 0, channel=3, name="r3")
         r6 = _radio(medium, 5, channel=6, name="r6")
         r3.transmit(frames.beacon("r3"))  # channel 3 busy at t=0
         partial = medium.interference_loss(5)
         assert partial > 0.0
-        # Same sim.now, new busy channel: the memo must not serve the
-        # stale value — channel 6 overlaps 5 too.
+        # Same sim.now, new busy channel: the loss must include it —
+        # channel 6 overlaps 5 too.
         r6.transmit(frames.beacon("r6"))
         combined = medium.interference_loss(5)
         assert combined > partial
 
-    def test_interference_memo_invalidated_by_time(self):
+    def test_interference_sees_busy_expiry(self):
         sim, medium = _world()
         r3 = _radio(medium, 0, channel=3, name="r3")
         _radio(medium, 5, channel=1, name="r1")

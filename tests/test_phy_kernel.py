@@ -336,3 +336,46 @@ class TestKernelEngagement:
         sender.medium = medium_b
         medium_b.register(sender)
         assert sender._pair_state is None
+
+
+def _busy_mid_fanout(medium_class, mobile_sender, mobile_receiver):
+    """The first receiver's handler makes an overlapping channel busy.
+
+    Interference is read once per completion, before any handler runs,
+    so the later receivers' loss must not see the helper's frame.
+    """
+    sim = Simulator()
+    medium = medium_class(
+        sim, PropagationModel(base_loss=0.3, edge_start=0.99), RandomStreams(8),
+        adjacent_channel_loss=0.25,
+    )
+    origin = Point(0.0, 0.0)
+    if mobile_sender:
+        mobility = ConstantVelocityMobility(origin, Point(0.0, 0.0))
+    else:
+        mobility = StaticMobility(origin)
+    sender = Radio(medium, mobility, 1, name="s", address="s")
+    first = Radio(medium, StaticMobility(Point(10.0, 0.0)), 1, name="a", address="a")
+    # Far from everyone, on channel 3 (overlaps 1).
+    helper = Radio(medium, StaticMobility(Point(5000.0, 0.0)), 3, name="h", address="h")
+    first.on_receive = lambda frame: helper.transmit(frames.beacon("h"))
+    later = [Radio(medium, StaticMobility(Point(20.0, 0.0)), 1, name="b", address="b")]
+    if mobile_receiver:
+        later.append(Radio(medium, ConstantVelocityMobility(Point(30.0, 0.0), Point(0.0, 0.1)),
+                           1, name="m", address="m"))
+    for k in range(300):
+        sim.schedule_at(0.01 * k, sender.transmit, frames.beacon("s"))
+    sim.run()
+    return ([(r.frames_received, r.frames_lost) for r in [first] + later],
+            helper.frames_sent, medium._rng.random())
+
+
+@pytest.mark.parametrize(
+    "mobile_sender, mobile_receiver",
+    [(False, False), (False, True), (True, False)],
+    ids=["static-pairs", "static-merge", "mobile-sender"],
+)
+def test_interference_is_read_before_any_handler(mobile_sender, mobile_receiver):
+    oracle = _busy_mid_fanout(OracleMedium, mobile_sender, mobile_receiver)
+    assert _busy_mid_fanout(Medium, mobile_sender, mobile_receiver) == oracle
+    assert oracle[1] > 0  # the helper did transmit mid-fan-out

@@ -31,7 +31,7 @@ class TestEngineProperties:
         fired = []
         handles = []
         for delay, cancel in entries:
-            handle = sim.schedule(delay, lambda i=len(handles): fired.append(i))
+            handle = sim.schedule_cancellable(delay, lambda i=len(handles): fired.append(i))
             handles.append((handle, cancel))
         for handle, cancel in handles:
             if cancel:

@@ -52,14 +52,14 @@ class TestScheduling:
     def test_cancelled_handle_does_not_fire(self):
         sim = Simulator()
         log = []
-        handle = sim.schedule(1.0, log.append, "x")
+        handle = sim.schedule_cancellable(1.0, log.append, "x")
         handle.cancel()
         sim.run()
         assert log == []
 
     def test_cancel_is_idempotent(self):
         sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
+        handle = sim.schedule_cancellable(1.0, lambda: None)
         handle.cancel()
         handle.cancel()
         sim.run()
@@ -107,7 +107,7 @@ class TestScheduling:
     def test_pending_events_counts_live_only(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
-        handle = sim.schedule(2.0, lambda: None)
+        handle = sim.schedule_cancellable(2.0, lambda: None)
         handle.cancel()
         assert sim.pending_events == 1
 
@@ -299,21 +299,21 @@ class TestPendingEventsBookkeeping:
     def test_double_cancel_decrements_once(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
-        handle = sim.schedule(2.0, lambda: None)
+        handle = sim.schedule_cancellable(2.0, lambda: None)
         handle.cancel()
         handle.cancel()
         assert sim.pending_events == 1
 
     def test_cancel_after_fire_does_not_go_negative(self):
         sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
+        handle = sim.schedule_cancellable(1.0, lambda: None)
         sim.run()
         handle.cancel()
         assert sim.pending_events == 0
 
     def test_counter_tracks_mixed_workload(self):
         sim = Simulator()
-        handles = [sim.schedule(1.0 + i, lambda: None) for i in range(10)]
+        handles = [sim.schedule_cancellable(1.0 + i, lambda: None) for i in range(10)]
         for handle in handles[::2]:
             handle.cancel()
         assert sim.pending_events == 5
@@ -326,7 +326,7 @@ class TestPendingEventsBookkeeping:
         sim = Simulator()
         for i in range(5):
             sim.schedule(0.1 * (i + 1), lambda: None)
-        cancelled = sim.schedule(0.05, lambda: None)
+        cancelled = sim.schedule_cancellable(0.05, lambda: None)
         cancelled.cancel()
         sim.run()
         assert sim.events_executed == 5
@@ -410,3 +410,82 @@ class TestReservedKeys:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_reserved(0.5, sim.reserve_seq(), lambda: None)
+
+
+def _mixed_script(kinds, times, cancels, until):
+    """Schedule one entry per ``kinds[i]`` at ``times[i]`` and run to ``until``.
+
+    Kinds: ``plain`` (``schedule``), ``handle`` (``schedule_cancellable``,
+    cancelled before the run when ``cancels[i]``) and ``reserved`` (key
+    taken with ``reserve_seq``, pushed with ``schedule_reserved`` after
+    every other entry, in reverse). Each entry takes one sequence
+    number, so entry ``i`` has heap key ``(times[i], i)``.
+    """
+    sim = Simulator()
+    fired = []
+    handles = {}
+    reserved = []
+    for i, (kind, time) in enumerate(zip(kinds, times)):
+        if kind == "plain":
+            sim.schedule(time, fired.append, i)
+        elif kind == "handle":
+            handles[i] = sim.schedule_cancellable(time, fired.append, i)
+        else:
+            reserved.append((time, sim.reserve_seq(), i))
+    for time, seq, i in reversed(reserved):
+        sim.schedule_reserved(time, seq, fired.append, i)
+    for i, handle in handles.items():
+        if cancels[i]:
+            handle.cancel()
+    sim.run(until=until)
+    return sim, fired, handles
+
+
+def _expected(kinds, times, cancels, until):
+    """The engine's contract, from the keys alone.
+
+    Live entries fire in ``(time, seq)`` order up to ``until``. The run
+    stops at the first live entry past it, after sweeping the
+    tombstones ahead of that entry; with no such entry the heap drains.
+    """
+    keys = sorted((time, i) for i, time in enumerate(times))
+    live = [key for key in keys if not (kinds[key[1]] == "handle" and cancels[key[1]])]
+    limit = float("inf") if until is None else until
+    fired = [i for time, i in live if time <= limit]
+    beyond = [key for key in live if key[0] > limit]
+    depth = len([key for key in keys if key >= beyond[0]]) if beyond else 0
+    return fired, len(beyond), depth
+
+
+class TestMixedEntries:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_plain_cancellable_and_reserved_entries(self, data):
+        n = data.draw(st.integers(0, 30))
+        kinds = data.draw(st.lists(
+            st.sampled_from(["plain", "handle", "reserved"]), min_size=n, max_size=n))
+        times = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=n, max_size=n))
+        cancels = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        until = data.draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.5, 3.0]))
+        sim, fired, handles = _mixed_script(kinds, times, cancels, until)
+        order, pending, depth = _expected(kinds, times, cancels, until)
+        assert fired == order
+        assert sim.events_executed == len(order)
+        assert sim.pending_events == pending
+        assert sim._metrics_source() == {
+            "sim.events_executed": len(order),
+            "sim.pending_events": pending,
+            "sim.heap_depth": depth,
+        }
+        limit = float("inf") if until is None else until
+        assert sim.now == (max([times[i] for i in order], default=0.0) if until is None
+                           else until)
+        # A late cancel of a fired or already-cancelled handle is a no-op;
+        # cancelling a pending one takes it out of the count.
+        for handle in handles.values():
+            handle.cancel()
+        rest = [i for i in range(n) if kinds[i] != "handle" and times[i] > limit]
+        assert sim.pending_events == len(rest)
+        sim.run()
+        assert fired == order + sorted(rest, key=lambda i: (times[i], i))
+        assert sim.pending_events == 0 and sim._metrics_source()["sim.heap_depth"] == 0
