@@ -78,7 +78,7 @@ class Frame:
     #: responses) is NOT: the paper's premise is that the join exchange
     #: "cannot be buffered using a PSM request" — miss it and it's gone.
     bufferable: bool = True
-    seq: int = field(default_factory=lambda: next(_sequence))
+    seq: int = field(default_factory=_sequence.__next__)
 
     @property
     def broadcast(self) -> bool:

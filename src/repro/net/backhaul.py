@@ -9,7 +9,7 @@ buffer, which the AP decides).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.mac.ap import AccessPoint
 from repro.net.dhcp import DhcpMessage, DhcpServer
@@ -32,16 +32,16 @@ class WiredBackhaul:
         self.latency_s = latency_s
         self.shaper = TokenBucketShaper(sim, rate_bps, queue_limit_bytes)
 
-    def down(self, size_bytes: int, deliver: Callable[[], None]) -> None:
-        """Wired → AP: latency, then serialisation through the shaper."""
-        self.sim.schedule(self.latency_s, self._enqueue, size_bytes, deliver)
+    def down(self, size_bytes: int, deliver: Callable[..., Any], *args: Any) -> None:
+        """Wired → AP: latency, then serialisation through the shaper.
 
-    def _enqueue(self, size_bytes: int, deliver: Callable[[], None]) -> None:
-        self.shaper.enqueue(size_bytes, deliver)
+        ``deliver(*args)`` runs when the packet leaves the shaper.
+        """
+        self.sim.schedule(self.latency_s, self.shaper.enqueue, size_bytes, deliver, *args)
 
-    def up(self, deliver: Callable[[], None]) -> None:
-        """AP → wired: ACK-sized traffic, latency only."""
-        self.sim.schedule(self.latency_s, deliver)
+    def up(self, deliver: Callable[..., Any], *args: Any) -> None:
+        """AP → wired: ACK-sized traffic, latency only; then ``deliver(*args)``."""
+        self.sim.schedule(self.latency_s, deliver, *args)
 
 
 class ApRouter:
@@ -79,7 +79,7 @@ class ApRouter:
         elif isinstance(payload, TcpSegment):
             sink = self._ack_sinks.get(payload.flow_id)
             if sink is not None:
-                self.backhaul.up(lambda p=payload, s=sink: s(p))
+                self.backhaul.up(sink, payload)
 
     # -- downlink (wired → client) -------------------------------------------
 
@@ -90,7 +90,5 @@ class ApRouter:
 
     def send_down(self, client: str, segment: TcpSegment) -> None:
         """Carry a server segment across the backhaul onto the air."""
-        self.backhaul.down(
-            segment.size_bytes,
-            lambda c=client, s=segment: self.ap.send_to_client(c, s, s.size_bytes),
-        )
+        size_bytes = segment.size_bytes
+        self.backhaul.down(size_bytes, self.ap.send_to_client, client, segment, size_bytes)

@@ -9,7 +9,7 @@ backhaul rate; this is that shaper.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from repro.sim.engine import Simulator
 
@@ -17,8 +17,8 @@ from repro.sim.engine import Simulator
 class TokenBucketShaper:
     """A FIFO rate limiter with a bounded queue (tail drop).
 
-    ``enqueue(size_bytes, deliver)`` schedules ``deliver()`` after the
-    packet has been serialised at ``rate_bps`` behind everything
+    ``enqueue(size_bytes, deliver, *args)`` schedules ``deliver(*args)``
+    after the packet has been serialised at ``rate_bps`` behind everything
     already queued. Packets arriving to a full queue are dropped —
     which is how backhaul congestion turns into TCP loss.
     """
@@ -46,7 +46,7 @@ class TokenBucketShaper:
     def service_time(self, size_bytes: int) -> float:
         return size_bytes * 8.0 / self.rate_bps
 
-    def enqueue(self, size_bytes: int, deliver: Callable[[], None]) -> bool:
+    def enqueue(self, size_bytes: int, deliver: Callable[..., Any], *args: Any) -> bool:
         """Queue a packet; returns False if tail-dropped."""
         if self._queued_bytes + size_bytes > self.queue_limit_bytes:
             self.dropped += 1
@@ -55,10 +55,10 @@ class TokenBucketShaper:
         start = max(self.sim.now, self._busy_until)
         finish = start + self.service_time(size_bytes)
         self._busy_until = finish
-        self.sim.schedule(finish - self.sim.now, self._dequeue, size_bytes, deliver)
+        self.sim.schedule(finish - self.sim.now, self._dequeue, size_bytes, deliver, *args)
         return True
 
-    def _dequeue(self, size_bytes: int, deliver: Callable[[], None]) -> None:
+    def _dequeue(self, size_bytes: int, deliver: Callable[..., Any], *args: Any) -> None:
         self._queued_bytes -= size_bytes
         self.delivered += 1
-        deliver()
+        deliver(*args)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, NamedTuple, Optional, Set
 
 from repro.obs import trace as tr
 from repro.sim.engine import Simulator
@@ -34,14 +34,18 @@ def next_flow_id() -> int:
     return next(_flow_ids)
 
 
-@dataclass(frozen=True, slots=True)
-class TcpSegment:
+class TcpSegment(NamedTuple):
     """A TCP segment (payload of a data frame or backhaul packet).
 
     ``ts`` is the sender's transmit timestamp; ``ts_echo`` on an ACK
     echoes the timestamp of the segment that triggered it (the TCP
     timestamps option, RFC 7323) — used for Eifel-style spurious-RTO
     detection.
+
+    Immutable. A ``NamedTuple`` rather than a frozen dataclass: one is
+    built per segment and per ACK, and a frozen dataclass's ``__init__``
+    sets every field through ``object.__setattr__``, about three times
+    the cost of a tuple's construction.
     """
 
     flow_id: int
@@ -211,7 +215,8 @@ class TcpSender:
         acked_segments = max(1, advanced // self.config.mss)
         self.snd_una = ack
         self.dupacks = 0
-        self._retransmitted = {seq for seq in self._retransmitted if seq >= ack}
+        if self._retransmitted:
+            self._retransmitted = {seq for seq in self._retransmitted if seq >= ack}
         for _ in range(acked_segments):
             if self.cwnd < self.ssthresh:
                 self.cwnd += 1.0  # slow start

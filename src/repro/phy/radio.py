@@ -142,6 +142,11 @@ class Radio:
         #: which that receiver, under that mobility model, cannot be in
         #: range. None until the first out-of-range mobile is seen.
         self._horizons: Optional[Dict["Radio", Tuple[float, MobilityModel]]] = None
+        #: Unicast link cache (``Medium._link``): destination address →
+        #: ``(medium, address_epoch, target, dist, rate, base_loss,
+        #: rssi)``; the last four are None unless both ends are static.
+        #: None until the radio first sends a unicast frame.
+        self._links: Optional[Dict[str, Tuple[Any, ...]]] = None
         medium.register(self)
 
     def _repin(self) -> None:
@@ -157,6 +162,7 @@ class Radio:
         self._position_value = self.mobility.position(0.0) if self._static else None
         self._pair_state = None
         self._horizons = None
+        self._links = None
 
     def position(self):
         if self._static:
@@ -282,6 +288,11 @@ class Medium:
         self._radios: Dict[Radio, None] = {}
         self._by_address: Dict[str, List[Radio]] = {}
         self._registrations = 0
+        #: Bumped by every ``register``/``unregister``: the validity
+        #: stamp of the unicast link cache (``_link``), since either can
+        #: change which radio ``_first_with_address`` returns, or where
+        #: a static radio is pinned.
+        self._address_epoch = 0
         self._channel_busy_until: Dict[int, float] = {}
         #: Channels spectrally within 4 of some channel that has ever
         #: carried a transmission. A channel outside this set provably
@@ -296,7 +307,7 @@ class Medium:
         #: — the spectral-overlap pairs of a channel, in the busy map's
         #: *insertion* order (keys are never removed, so the map size
         #: is a faithful build version and the iteration order is
-        #: append-only). Caching the pairs keeps ``_compute_interference``
+        #: append-only). Caching the pairs keeps ``interference_loss``
         #: from re-deriving overlaps per call; summing the cached list
         #: adds the same floats in the same order as the historical
         #: full-map walk, so the result stays bit-identical.
@@ -366,6 +377,7 @@ class Medium:
             return
         radio.reg_seq = self._registrations
         self._registrations += 1
+        self._address_epoch += 1
         self._radios[radio] = None
         radio._repin()
         self._by_address.setdefault(radio.address, []).append(radio)
@@ -376,6 +388,7 @@ class Medium:
         if radio not in self._radios:
             return
         del self._radios[radio]
+        self._address_epoch += 1
         self._index_remove(radio, radio.channel)
         self._invalidate(radio.channel, radio._static)
         peers = self._by_address.get(radio.address)
@@ -467,6 +480,42 @@ class Medium:
             if radio is not sender:
                 return radio
         return None
+
+    def _link(self, sender: Radio, address: str) -> Optional[Tuple[Any, ...]]:
+        """The unicast link from ``sender`` to ``address``, cached on the sender.
+
+        ``(medium, address_epoch, target, dist, rate, base_loss, rssi)``
+        or None when no other radio has the address. ``target`` is what
+        ``_first_with_address`` returns; only ``register``/``unregister``
+        can change that, and both bump the epoch the entry is stamped
+        with. When both ends are static the entry also holds the link's
+        geometry — distance, auto-rate, path loss (None out of range)
+        and RSSI — computed by the same expressions the per-frame path
+        uses, from positions pinned at registration (DESIGN.md §6.3). A
+        mobile end leaves those four None: its geometry is per-frame.
+        """
+        links = sender._links
+        if links is not None:
+            link = links.get(address)
+            if link is not None and link[1] == self._address_epoch and link[0] is self:
+                return link
+        target = self._first_with_address(address, sender)
+        if target is None:
+            return None
+        if sender._static and target._static:
+            dist = distance(sender.position(), target.position())
+            propagation = self.propagation
+            link = (
+                self, self._address_epoch, target, dist, self._rate_at(dist),
+                propagation.loss_probability(dist) if propagation.in_range(dist) else None,
+                self.rssi_at(dist),
+            )
+        else:
+            link = (self, self._address_epoch, target, None, None, None, None)
+        if links is None:
+            links = sender._links = {}
+        links[address] = link
+        return link
 
     # -- transmission ----------------------------------------------------
 
@@ -568,10 +617,15 @@ class Medium:
         out-of-range destinations get the top rate (the frame will be
         lost anyway).
         """
-        target = self._first_with_address(dst_address, sender)
-        if target is None:
+        link = self._link(sender, dst_address)
+        if link is None:
             return DEFAULT_DATA_RATE_BPS
-        dist = distance(sender.position(), target.position())
+        if link[4] is not None:
+            return link[4]
+        return self._rate_at(distance(sender.position(), link[2].position()))
+
+    def _rate_at(self, dist: float) -> float:
+        """The ``RATE_LADDER`` rate for a link of ``dist`` metres."""
         fraction = dist / self.propagation.range_m
         for threshold, rate in RATE_LADDER:
             if fraction <= threshold:
@@ -629,9 +683,6 @@ class Medium:
             if busy[other] > now:
                 extra += weighted
         return min(extra, 0.9)
-
-    def _loss_probability(self, channel: int, dist: float) -> float:
-        return combined_loss(self.propagation, dist, self.interference_loss(channel))
 
     # -- delivery --------------------------------------------------------
 
@@ -940,17 +991,40 @@ class Medium:
         """Unicast with link-layer ARQ: retry on loss up to the cap.
 
         Each retry occupies another airtime on the channel, which is
-        what makes a lossy fringe expensive, not just unreliable.
+        what makes a lossy fringe expensive, not just unreliable. The
+        target and, for a static pair, the geometry come from the
+        sender's link cache (``_link``); channel, deafness and
+        interference are read per frame.
         """
-        target = self._first_with_address(frame.dst, sender)
-        if target is None or target.channel != channel or target.deaf:
+        link = self._link(sender, frame.dst)
+        if link is None:
             self._report_tx_failure(sender, frame)
-            return  # destination gone or off-channel
-        dist = distance(sender.position(), target.position())
-        if not self.propagation.in_range(dist):
+            return  # destination gone
+        target = link[2]
+        if target.channel != channel or self.sim.now < target.deaf_until:
             self._report_tx_failure(sender, frame)
-            return
-        if self._rng.random() < self._loss_probability(channel, dist):
+            return  # destination off-channel or deaf
+        dist = link[3]
+        if dist is None:
+            dist = distance(sender.position(), target.position())
+            if not self.propagation.in_range(dist):
+                self._report_tx_failure(sender, frame)
+                return
+            draw = self._rng.random()
+            loss = combined_loss(self.propagation, dist, self.interference_loss(channel))
+            rssi = None
+        else:
+            base = link[5]
+            if base is None:
+                self._report_tx_failure(sender, frame)
+                return  # static pair out of range
+            draw = self._rng.random()
+            # ``combined_loss`` with the path loss cached: same sum, same cap.
+            loss = base + self.interference_loss(channel)
+            if loss >= 1.0:
+                loss = 1.0
+            rssi = link[6]
+        if draw < loss:
             target.frames_lost += 1
             trace = self.sim.trace
             if trace is not None:
@@ -969,7 +1043,7 @@ class Medium:
             else:
                 self._report_tx_failure(sender, frame)
             return
-        target._deliver(frame, self.rssi_at(dist))
+        target._deliver(frame, self.rssi_at(dist) if rssi is None else rssi)
 
     def _report_tx_failure(self, sender: Radio, frame: Any) -> None:
         trace = self.sim.trace

@@ -4,7 +4,9 @@ The engine is a heap of ``(time, sequence, callback, args)`` entries.
 Sequence numbers break ties so that runs are fully deterministic for a
 given seed. Only cancellable events (:meth:`Simulator.schedule_cancellable`,
 used by :class:`~repro.sim.timers.Timer`) carry an :class:`EventHandle`:
-their entry is ``(time, sequence, handle, None)``.
+their entry is ``(time, sequence, handle, None)``, and
+:meth:`Simulator.reschedule` can move one to a later key without
+touching the heap.
 On top of the raw callback API sits a small generator-based process layer
 (in the style of SimPy): a process is a generator that yields
 :class:`Timeout`, :class:`Event`, or another :class:`Process`, and is
@@ -59,6 +61,12 @@ class EventHandle:
     args slot tells the run loop to fire through the handle. ``seq`` is
     unique, so heap sifting only ever compares floats and ints at C
     speed and never reaches the handle.
+
+    ``time`` and ``seq`` are the handle's *current* key. After
+    :meth:`Simulator.reschedule` moves it later, the heap entry still
+    carries the old key; the engine re-pushes it under the handle's key
+    when it surfaces (an entry whose ``seq`` differs from its handle's
+    is stale).
     """
 
     __slots__ = ("time", "seq", "cancelled", "_callback", "_args", "_sim")
@@ -323,6 +331,29 @@ class Simulator:
         heapq.heappush(self._heap, (time, seq, handle, None))
         return handle
 
+    def reschedule(self, handle: EventHandle, delay: float) -> EventHandle:
+        """Move a cancellable event to ``now + delay``; return its handle.
+
+        The event fires at exactly the key a cancel followed by a fresh
+        :meth:`schedule_cancellable` would give it: the new time, and a
+        sequence number drawn now. When that time is not earlier than
+        the handle's, the handle keeps its one heap entry and just takes
+        the new key; the stale entry is pushed again under it when it
+        reaches the top of the heap, before anything ordered after its
+        old key (hence anything between the two keys) can pop. That
+        re-push is not an event. An earlier time, or a handle that
+        already fired or was cancelled, cancels and schedules afresh.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        time = self.now + delay
+        if time >= handle.time and not handle.cancelled:
+            handle.time = time
+            handle.seq = next(self._sequence)
+            return handle
+        handle.cancel()
+        return self.schedule_cancellable(delay, handle._callback, *handle._args)
+
     def schedule_reserved(
         self, time: float, seq: int, callback: Callable[..., Any], *args: Any
     ) -> None:
@@ -364,10 +395,14 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         while heap:
-            time, _, callback, args = pop(heap)
+            time, seq, callback, args = pop(heap)
             if args is None:
                 if callback.cancelled:
                     self._cancelled_pending -= 1
+                    continue
+                if seq != callback.seq:
+                    # Rescheduled later: re-push under the current key.
+                    heapq.heappush(heap, (callback.time, callback.seq, callback, None))
                     continue
                 # Mark consumed: a later cancel() must be a no-op.
                 callback.cancelled = True
@@ -410,7 +445,9 @@ class Simulator:
         ``heap_depth`` read the same whichever way the loop stopped. A
         plain entry fires straight from its tuple; a cancellable one
         (``args`` is ``None``) through its handle, which is marked
-        consumed first. The clock is written only when time advances.
+        consumed first, unless its key is stale (``reschedule``): then
+        it goes back on the heap under the handle's key, uncounted. The
+        clock is written only when time advances.
         ``events_executed`` advances per callback (a metrics snapshot
         taken inside a callback sees the exact count), and ``stop()``
         takes effect after the current callback returns.
@@ -418,10 +455,11 @@ class Simulator:
         self._stopped = False
         heap = self._heap
         pop = heapq.heappop
+        replace = heapq.heapreplace
         limit = math.inf if until is None else until
         now = self.now
         while heap:
-            time, _, callback, args = heap[0]
+            time, seq, callback, args = heap[0]
             if args is None:
                 if callback.cancelled:
                     pop(heap)
@@ -429,6 +467,9 @@ class Simulator:
                     continue
                 if time > limit:
                     break
+                if seq != callback.seq:
+                    replace(heap, (callback.time, callback.seq, callback, None))
+                    continue
                 pop(heap)
                 callback.cancelled = True
                 args = callback._args
@@ -451,11 +492,15 @@ class Simulator:
     def _next_pending_time(self) -> Optional[float]:
         heap = self._heap
         while heap:
-            time, _, callback, args = heap[0]
-            if args is None and callback.cancelled:
-                heapq.heappop(heap)
-                self._cancelled_pending -= 1
-                continue
+            time, seq, callback, args = heap[0]
+            if args is None:
+                if callback.cancelled:
+                    heapq.heappop(heap)
+                    self._cancelled_pending -= 1
+                    continue
+                if seq != callback.seq:
+                    heapq.heapreplace(heap, (callback.time, callback.seq, callback, None))
+                    continue
             return time
         return None
 

@@ -16,7 +16,7 @@ class Timer:
     """A one-shot timer that can be started, restarted, and cancelled.
 
     The callback fires once per :meth:`start`; restarting an armed timer
-    cancels the previous arming. The timer object is reusable.
+    replaces the previous arming. The timer object is reusable.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[..., Any], *args: Any):
@@ -39,9 +39,18 @@ class Timer:
         return None
 
     def start(self, delay: float) -> None:
-        """Arm (or re-arm) the timer to fire after ``delay`` seconds."""
-        self.cancel()
-        self._handle = self._sim.schedule_cancellable(delay, self._fire)
+        """Arm (or re-arm) the timer to fire after ``delay`` seconds.
+
+        Re-arming an armed timer goes through ``Simulator.reschedule``:
+        a later deadline moves the pending event in place (the common
+        case — a TCP sender pushes its RTO out on every new ACK), an
+        earlier one replaces it.
+        """
+        handle = self._handle
+        if handle is None:
+            self._handle = self._sim.schedule_cancellable(delay, self._fire)
+        else:
+            self._handle = self._sim.reschedule(handle, delay)
 
     def cancel(self) -> None:
         """Disarm the timer if armed. Safe to call when idle."""

@@ -6,16 +6,20 @@ visit every registered radio in registration order, keep the ones
 tuned to the frame's channel, and draw one loss uniform for each
 receiver in range. No spatial grid, no snapshot cache, no pair cache,
 no reach horizon, and the interference loss is computed up front for
-every completion. Everything else (the airtime FIFO, unicast ARQ, the
-interference formula) is inherited unchanged, so a difference between
-an ``OracleMedium`` run and a ``Medium`` run is a difference in
-broadcast delivery alone.
+every completion. Its unicast path (auto-rate pick and ARQ delivery)
+is likewise the uncached one: the destination is looked up by address,
+and the geometry and ``combined_loss`` are computed, on every frame —
+no link cache. Everything else (the airtime FIFO, the interference
+formula) is inherited unchanged, so a difference between an
+``OracleMedium`` run and a ``Medium`` run is a difference in delivery
+alone.
 
-The identity tests (``test_phy_kernel.py``, ``test_phy_spatial.py``)
-run the same seeded world through both and compare every delivery,
-loss counter, trace event and the number of RNG draws consumed.
-``oracle_mediums`` swaps the class into scenario builds so whole
-registry presets can be compared the same way.
+The identity tests (``test_phy_kernel.py``, ``test_phy_spatial.py``,
+``test_phy_horizon.py``, ``test_phy_unicast.py``) run the same seeded
+world through both and compare every delivery, loss counter, trace
+event and the number of RNG draws consumed. ``oracle_mediums`` swaps
+the class into scenario builds so whole registry presets can be
+compared the same way.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import importlib
 from typing import Any, Iterator, Optional
 
 from repro.obs import trace as tr
+from repro.phy.channels import DEFAULT_DATA_RATE_BPS, RATE_LADDER
 from repro.phy.propagation import combined_loss
 from repro.phy.radio import Medium, Radio
 from repro.world.geometry import distance
@@ -59,6 +64,47 @@ class OracleMedium(Medium):
                     )
                 continue
             radio._deliver(frame, self.rssi_at(dist), frame_air)
+
+    def suggest_rate(self, sender: Radio, dst_address: str) -> float:
+        target = self._first_with_address(dst_address, sender)
+        if target is None:
+            return DEFAULT_DATA_RATE_BPS
+        fraction = distance(sender.position(), target.position()) / self.propagation.range_m
+        for threshold, rate in RATE_LADDER:
+            if fraction <= threshold:
+                return rate
+        return RATE_LADDER[-1][1]
+
+    def _deliver_unicast(self, sender: Radio, frame: Any, channel: int, attempt: int) -> None:
+        target = self._first_with_address(frame.dst, sender)
+        if target is None or target.channel != channel or target.deaf:
+            self._report_tx_failure(sender, frame)
+            return
+        dist = distance(sender.position(), target.position())
+        if not self.propagation.in_range(dist):
+            self._report_tx_failure(sender, frame)
+            return
+        if self._rng.random() < combined_loss(
+            self.propagation, dist, self.interference_loss(channel)
+        ):
+            target.frames_lost += 1
+            trace = self.sim.trace
+            if trace is not None:
+                trace.emit(
+                    tr.PHY_FRAME_DROP, self.sim.now, channel=channel,
+                    dst=target.address, reason="loss", attempt=attempt,
+                )
+            if attempt < self.max_arq_attempts and sender.channel == channel and not sender.deaf:
+                airtime = self.airtime(frame)
+                busy_until = self._channel_busy_until.get(channel, 0.0)
+                self._channel_busy_until[channel] = max(busy_until, self.sim.now + airtime)
+                self.sim.schedule(
+                    airtime, self._deliver_unicast, sender, frame, channel, attempt + 1
+                )
+            else:
+                self._report_tx_failure(sender, frame)
+            return
+        target._deliver(frame, self.rssi_at(dist))
 
 
 @contextlib.contextmanager

@@ -82,12 +82,35 @@ class TestLossAgreement:
                 assert inline == combined_loss(model, dist, extra)
 
     def test_unicast_path_uses_combined_loss(self):
-        sim = Simulator()
-        medium = Medium(sim, PropagationModel(), RandomStreams(5))
-        for dist in _sweep_distances(medium.propagation):
-            assert medium._loss_probability(1, dist) == combined_loss(
-                medium.propagation, dist, medium.interference_loss(1)
-            )
+        # A static pair's unicast loss sums a cached path loss with the
+        # per-frame interference. Pin it to ``combined_loss`` exactly: a
+        # draw equal to it must deliver, the next float below must not.
+        for model in LOSS_MODELS:
+            for extra in (0.0, 0.3, 1.5):
+                for dist in _sweep_distances(model):
+                    if dist > model.range_m:
+                        continue  # out of range: ARQ failure, no draw
+                    loss = combined_loss(model, dist, extra)
+                    assert _unicast_outcome(model, dist, extra, loss)
+                    if loss > 0.0:
+                        below = math.nextafter(loss, 0.0)
+                        assert not _unicast_outcome(model, dist, extra, below)
+
+
+def _unicast_outcome(model, dist, extra, draw):
+    """Whether one unicast frame over a static ``dist`` m link is delivered.
+
+    Interference is pinned to ``extra`` and the loss draw to ``draw``.
+    """
+    sim = Simulator()
+    medium = Medium(sim, model, RandomStreams(5), max_arq_attempts=1)
+    medium.interference_loss = lambda channel: extra
+    medium._rng = type("FixedDraw", (), {"random": staticmethod(lambda: draw)})()
+    sender = Radio(medium, StaticMobility(Point(0.0, 0.0)), 1, name="a")
+    target = Radio(medium, StaticMobility(Point(dist, 0.0)), 1, name="b")
+    sender.transmit(frames.data_frame("a", "b", None, 100))
+    sim.run()
+    return target.frames_received == 1
 
 
 # -- generated-world identity -------------------------------------------------

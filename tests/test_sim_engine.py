@@ -332,6 +332,65 @@ class TestPendingEventsBookkeeping:
         assert sim.events_executed == 5
 
 
+class TestReschedule:
+    @staticmethod
+    def _moved():
+        sim = Simulator()
+        log = []
+        handle = sim.schedule_cancellable(1.0, log.append, "moved")
+        sim.schedule(2.0, log.append, "plain")
+        assert sim.reschedule(handle, 3.0) is handle
+        assert (handle.time, sim.pending_events) == (3.0, 2)
+        return sim, log
+
+    def test_step_follows_the_new_key(self):
+        sim, log = self._moved()
+        assert sim.step() and log == ["plain"] and sim.now == 2.0
+        assert sim.step() and log == ["plain", "moved"] and sim.now == 3.0
+        assert not sim.step()
+        assert sim.events_executed == 2
+
+    def test_next_pending_time_follows_the_new_key(self):
+        sim, log = self._moved()
+        assert sim._next_pending_time() == 2.0  # the stale t=1 entry moved
+        sim.run(until=2.5)
+        assert sim._next_pending_time() == 3.0
+        assert log == ["plain"] and sim.pending_events == 1
+
+    def test_run_until_leaves_a_stale_entry_past_the_limit_in_place(self):
+        # The loop stops at the first live entry past ``until``, stale or
+        # not; the tombstone behind it stays, as it would behind any
+        # live entry.
+        sim = Simulator()
+        handle = sim.schedule_cancellable(2.0, lambda: None)
+        sim.schedule_cancellable(2.5, lambda: None).cancel()
+        sim.reschedule(handle, 3.0)
+        sim.run(until=1.0)
+        assert sim._metrics_source()["sim.heap_depth"] == 2
+        assert sim.pending_events == 1
+
+    def test_earlier_fired_or_cancelled_handles_get_a_new_one(self):
+        sim = Simulator()
+        log = []
+        handle = sim.schedule_cancellable(2.0, log.append, "a")
+        earlier = sim.reschedule(handle, 1.0)
+        assert earlier is not handle and handle.cancelled
+        sim.run()
+        assert log == ["a"] and sim.now == 1.0
+        again = sim.reschedule(earlier, 1.0)  # already fired
+        assert again is not earlier
+        again.cancel()
+        revived = sim.reschedule(again, 0.5)  # cancelled
+        sim.run()
+        assert log == ["a", "a"] and sim.now == 1.5 and revived.cancelled
+
+    def test_reschedule_rejects_the_past(self):
+        sim = Simulator()
+        handle = sim.schedule_cancellable(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.reschedule(handle, -0.1)
+
+
 def _run_script(ops, parents, reserved):
     """Run one event script; chained ops reserve their key when issued.
 
@@ -412,14 +471,17 @@ class TestReservedKeys:
             sim.schedule_reserved(0.5, sim.reserve_seq(), lambda: None)
 
 
-def _mixed_script(kinds, times, cancels, until):
+def _mixed_script(kinds, times, new_times, cancels, until):
     """Schedule one entry per ``kinds[i]`` at ``times[i]`` and run to ``until``.
 
-    Kinds: ``plain`` (``schedule``), ``handle`` (``schedule_cancellable``,
-    cancelled before the run when ``cancels[i]``) and ``reserved`` (key
+    Kinds: ``plain`` (``schedule``), ``handle`` (``schedule_cancellable``),
+    ``rearm`` (``schedule_cancellable``, then moved to ``new_times[i]``
+    with ``reschedule`` once every entry is pushed) and ``reserved`` (key
     taken with ``reserve_seq``, pushed with ``schedule_reserved`` after
-    every other entry, in reverse). Each entry takes one sequence
-    number, so entry ``i`` has heap key ``(times[i], i)``.
+    every other entry, in reverse). Handles are cancelled before the run
+    when ``cancels[i]``, re-armed ones after their re-arm. Each entry
+    takes one sequence number, so entry ``i`` has heap key
+    ``(times[i], i)``; the ``k``-th re-arm draws sequence ``n + k``.
     """
     sim = Simulator()
     fired = []
@@ -428,12 +490,15 @@ def _mixed_script(kinds, times, cancels, until):
     for i, (kind, time) in enumerate(zip(kinds, times)):
         if kind == "plain":
             sim.schedule(time, fired.append, i)
-        elif kind == "handle":
+        elif kind in ("handle", "rearm"):
             handles[i] = sim.schedule_cancellable(time, fired.append, i)
         else:
             reserved.append((time, sim.reserve_seq(), i))
     for time, seq, i in reversed(reserved):
         sim.schedule_reserved(time, seq, fired.append, i)
+    for i, handle in handles.items():
+        if kinds[i] == "rearm":
+            handles[i] = sim.reschedule(handle, new_times[i])
     for i, handle in handles.items():
         if cancels[i]:
             handle.cancel()
@@ -441,34 +506,60 @@ def _mixed_script(kinds, times, cancels, until):
     return sim, fired, handles
 
 
-def _expected(kinds, times, cancels, until):
+def _expected(kinds, times, new_times, cancels, until):
     """The engine's contract, from the keys alone.
 
-    Live entries fire in ``(time, seq)`` order up to ``until``. The run
+    Live entries fire in ``(time, seq)`` order up to ``until``, a
+    re-armed one at ``(new_times[i], seq drawn at its re-arm)``. The run
     stops at the first live entry past it, after sweeping the
     tombstones ahead of that entry; with no such entry the heap drains.
+
+    The heap depth after the stop counts physical entries. A re-arm to
+    an earlier time leaves a tombstone at the old key; a later one
+    keeps a single entry, which moves to the new key only when it
+    reaches the top of the heap — that is, when its old time is within
+    ``until`` (a cancelled one stays a tombstone at the old key).
     """
-    keys = sorted((time, i) for i, time in enumerate(times))
-    live = [key for key in keys if not (kinds[key[1]] == "handle" and cancels[key[1]])]
+    n = len(kinds)
     limit = float("inf") if until is None else until
-    fired = [i for time, i in live if time <= limit]
-    beyond = [key for key in live if key[0] > limit]
-    depth = len([key for key in keys if key >= beyond[0]]) if beyond else 0
-    return fired, len(beyond), depth
+    rearms = [i for i in range(n) if kinds[i] == "rearm"]
+    key = {i: (times[i], i) for i in range(n)}
+    key.update({i: (new_times[i], n + k) for k, i in enumerate(rearms)})
+    cancellable = {"handle", "rearm"}
+    live = sorted(key[i] for i in range(n) if not (kinds[i] in cancellable and cancels[i]))
+    entry = {key[i]: i for i in range(n)}
+    fired = [entry[k] for k in live if k[0] <= limit]
+    beyond = [k for k in live if k[0] > limit]
+    physical = []  # (key, is_live)
+    for i in range(n):
+        dead = kinds[i] in cancellable and cancels[i]
+        if kinds[i] != "rearm":
+            physical.append((key[i], not dead))
+        elif new_times[i] < times[i]:
+            physical += [((times[i], i), False), (key[i], not dead)]
+        elif dead or times[i] > limit:
+            physical.append(((times[i], i), not dead))
+        else:
+            physical.append((key[i], True))
+    stop = min((k for k, alive in physical if alive and k[0] > limit), default=None)
+    depth = len([k for k, _ in physical if k >= stop]) if stop is not None else 0
+    return fired, len(beyond), depth, max((key[i][0] for i in fired), default=0.0)
 
 
 class TestMixedEntries:
     @given(st.data())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_plain_cancellable_and_reserved_entries(self, data):
         n = data.draw(st.integers(0, 30))
         kinds = data.draw(st.lists(
-            st.sampled_from(["plain", "handle", "reserved"]), min_size=n, max_size=n))
+            st.sampled_from(["plain", "handle", "rearm", "reserved"]), min_size=n, max_size=n))
         times = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=n, max_size=n))
+        new_times = data.draw(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 3.5]), min_size=n, max_size=n))
         cancels = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         until = data.draw(st.sampled_from([None, 0.0, 0.5, 1.0, 2.5, 3.0]))
-        sim, fired, handles = _mixed_script(kinds, times, cancels, until)
-        order, pending, depth = _expected(kinds, times, cancels, until)
+        sim, fired, handles = _mixed_script(kinds, times, new_times, cancels, until)
+        order, pending, depth, last = _expected(kinds, times, new_times, cancels, until)
         assert fired == order
         assert sim.events_executed == len(order)
         assert sim.pending_events == pending
@@ -478,13 +569,12 @@ class TestMixedEntries:
             "sim.heap_depth": depth,
         }
         limit = float("inf") if until is None else until
-        assert sim.now == (max([times[i] for i in order], default=0.0) if until is None
-                           else until)
+        assert sim.now == (last if until is None else until)
         # A late cancel of a fired or already-cancelled handle is a no-op;
         # cancelling a pending one takes it out of the count.
         for handle in handles.values():
             handle.cancel()
-        rest = [i for i in range(n) if kinds[i] != "handle" and times[i] > limit]
+        rest = [i for i in range(n) if kinds[i] in ("plain", "reserved") and times[i] > limit]
         assert sim.pending_events == len(rest)
         sim.run()
         assert fired == order + sorted(rest, key=lambda i: (times[i], i))
