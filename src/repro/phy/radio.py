@@ -16,8 +16,8 @@ airtime memo, and a uniform-grid *spatial*
 index (cell size = the propagation horizon, DESIGN.md §6.2) that
 restricts broadcast fan-out to the sender's 3×3 cell neighbourhood
 plus the channel's mobile radios, so per-frame cost scales with *local
-density*, not world size. Static senders deliver from a cached
-per-sender pair list; mobile senders walk the 3×3 snapshot. Both visit
+density*, not world size. Static senders deliver from their channel's
+static pair table; mobile senders walk the 3×3 snapshot. Both visit
 receivers in registration order — the exact per-receiver RNG draw order
 of the historical full-channel scan — which is what keeps every
 experiment digest byte-identical (``tests/goldens/*.json``). That scan
@@ -37,7 +37,7 @@ exact).
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_right, insort
 from collections import deque
 from operator import attrgetter
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
@@ -131,12 +131,6 @@ class Radio:
         #: radios only); removal uses this stored key, so the index
         #: stays consistent even if the pin is refreshed in between.
         self._grid_cell: Optional[Tuple[int, int]] = None
-        #: Static-sender pair cache (``Medium._sender_pairs``):
-        #: ``(medium, channel, static_epoch, mobile_epoch, statics,
-        #: mobiles)``, or None. Held on the radio — the natural cache
-        #: key for a static sender — and revalidated against the
-        #: medium's split membership epochs on every broadcast.
-        self._pair_state: Any = None
         #: Reach horizons of a static sender (``Medium._deliver_static``):
         #: mobile receiver → ``(until, mobility)``, the time before
         #: which that receiver, under that mobility model, cannot be in
@@ -160,7 +154,6 @@ class Radio:
         self._static = type(self.mobility) is StaticMobility
         self._position_time = None
         self._position_value = self.mobility.position(0.0) if self._static else None
-        self._pair_state = None
         self._horizons = None
         self._links = None
 
@@ -328,13 +321,15 @@ class Medium:
         self._local_cache: Dict[
             int, Dict[Tuple[int, int], List[Tuple[Radio, Optional[float], Optional[float]]]]
         ] = {}
-        #: Per-channel membership epochs, split by kind: any static
-        #: (resp. mobile) radio joining or leaving a channel bumps that
-        #: channel's static (resp. mobile) version. The snapshot caches
-        #: invalidate on either; the pair cache revalidates each half
-        #: independently.
-        self._static_version: Dict[int, int] = {}
-        self._mobile_version: Dict[int, int] = {}
+        #: channel → static radio → its fan-out geometry, ``(reg_seq,
+        #: radio, base_loss, rssi)`` per static radio in range, in
+        #: registration order (``_fill_pairs``). Dropped whenever a
+        #: static radio joins or leaves the channel.
+        self._pair_tables: Dict[int, Dict[Radio, List[Tuple[int, Radio, float, float]]]] = {}
+        #: channel → ``(reg_seq, radio)`` per mobile member, in
+        #: registration order (``_mobile_pairs``). Dropped whenever a
+        #: mobile radio joins or leaves the channel.
+        self._mobile_lists: Dict[int, List[Tuple[int, Radio]]] = {}
         #: Cumulative transmit airtime per channel (s): the utilisation
         #: view the metrics registry snapshots as ``phy.airtime_s.ch*``.
         self.airtime_by_channel: Dict[int, float] = {}
@@ -410,15 +405,15 @@ class Medium:
     def _invalidate(self, channel: int, static_member: bool) -> None:
         """Drop the channel's cached fan-out snapshots.
 
-        ``static_member`` says which membership kind changed; the
-        matching epoch counter is bumped so the pair cache rebuilds
-        only the half that is actually stale.
+        ``static_member`` says which membership kind changed, so only
+        that half of the static senders' fan-out is rebuilt: a mobile
+        client retuning keeps the static pair table.
         """
         self._local_cache.pop(channel, None)
         if static_member:
-            self._static_version[channel] = self._static_version.get(channel, 0) + 1
+            self._pair_tables.pop(channel, None)
         else:
-            self._mobile_version[channel] = self._mobile_version.get(channel, 0) + 1
+            self._mobile_lists.pop(channel, None)
 
     def _index_add(self, radio: Radio, channel: int) -> None:
         """Insert into the spatial index, preserving per-bucket reg order.
@@ -698,7 +693,9 @@ class Medium:
         radio outside the neighbourhood is farther than one cell edge
         (= the propagation horizon) on some axis, so the scan's range
         check skips it without drawing. Cached per (channel, sender
-        cell); any membership change on the channel invalidates.
+        cell); any membership change on the channel invalidates. Read
+        by mobile senders only, and by a static sender whose frame
+        completes after it left the channel.
         """
         cell = self._cell_m
         cx = int(x // cell)
@@ -740,9 +737,19 @@ class Medium:
         if sender._static:
             # Static sender: the fan-out's static geometry is a constant
             # of the channel's static membership — deliver from the
-            # precomputed pair list, skipping the snapshot fetch.
-            self._deliver_static(sender, frame, channel, now, sender_x, sender_y, frame_air)
-            return
+            # channel's pair table, skipping the snapshot fetch. A
+            # sender that left the channel (retuned or unregistered)
+            # after its frame went out has no row, and walks the
+            # snapshot below like a mobile sender.
+            table = self._pair_tables.get(channel)
+            if table is None:
+                table = self._fill_pairs(channel)
+            statics = table.get(sender)
+            if statics is not None:
+                self._deliver_static(
+                    sender, frame, channel, now, sender_x, sender_y, frame_air, statics
+                )
+                return
         entries = self._local_entries(channel, sender_x, sender_y)
         if not entries:
             return
@@ -798,72 +805,81 @@ class Medium:
 
         Registration order (the spatial mobile set maintains it), so the
         pair-merge in ``_deliver_static`` can interleave these with the
-        cached static pairs by ``reg_seq``.
+        static pair table by ``reg_seq``. One list per channel, shared by
+        every static sender until a mobile radio joins or leaves it.
         """
         mobile = self._mobile.get(channel)
-        if not mobile:
-            return []
-        return [(radio.reg_seq, radio) for radio in mobile]
+        pairs = [(radio.reg_seq, radio) for radio in mobile] if mobile else []
+        self._mobile_lists[channel] = pairs
+        return pairs
 
-    def _sender_pairs(
-        self, sender: Radio, channel: int, sender_x: float, sender_y: float
-    ) -> Tuple[List, List]:
-        """Precomputed fan-out geometry for a static sender.
+    def _fill_pairs(self, channel: int) -> Dict[Radio, List[Tuple[int, Radio, float, float]]]:
+        """The static pair table of ``channel``, filled in one pass.
 
-        Returns ``(statics, mobiles)``: ``statics`` holds one
-        ``(reg_seq, radio, base_loss, rssi)`` tuple per static radio
-        that passes the sender's range check — the exact radios (and
-        the exact path-loss/RSSI floats) the per-entry loop of
-        ``_deliver_broadcast`` would compute per frame, in registration
-        order — and ``mobiles`` the ``(reg_seq, radio)`` mobile members,
-        whose geometry is delivery-time state. The cache lives on the
-        sender radio (``Radio._pair_state`` — a static sender's cell and
-        channel are the key, and both are properties of the radio
-        itself), with the two halves validated against the channel's
-        *split* membership epochs (``_invalidate``): a mobile client
-        retuning onto the channel rebuilds only the cheap mobile list,
-        leaving the static geometry — the expensive half, and a constant
-        while the channel's static population is unchanged — intact.
-        Static positions are pinned at registration, and any
-        re-registration bumps the static epoch (and clears the radio's
-        state via ``_repin``), so surviving entries are never stale.
+        Maps every static radio on the channel to one ``(reg_seq,
+        radio, base_loss, rssi)`` entry per *other* static radio within
+        range, in registration order: the radios, and the path-loss and
+        RSSI floats, that the per-entry loop of ``_deliver_broadcast``
+        would compute per frame for that sender. Mobile members are
+        delivery-time state and live in ``_mobile_pairs``.
+
+        Members are visited in ``reg_seq`` order, and each one is paired
+        only with the later members of its 3×3 cell neighbourhood (the
+        only static radios that can be in range, §6.2). Each unordered
+        pair is thus computed once, and its entry is appended to both
+        rows: to the earlier member's row while that member is visited,
+        and to the later member's row before that member is visited.
+        So every row is in ``reg_seq`` order with no sort. Both ends get
+        the same floats: ``x_a − x_b`` rounds to exactly ``−(x_b − x_a)``,
+        ``math.hypot`` takes absolute values, and loss and RSSI depend
+        only on the distance (DESIGN.md §6.3). Static positions are
+        pinned at registration and any static join or leave drops the
+        table (``_invalidate``), so a table is never stale.
         """
-        static_v = self._static_version.get(channel, 0)
-        mobile_v = self._mobile_version.get(channel, 0)
-        state = sender._pair_state
-        if (
-            state is not None
-            and state[1] == channel
-            and state[2] == static_v
-            and state[0] is self
-        ):
-            if state[3] == mobile_v:
-                return state[4], state[5]
-            mobiles = self._mobile_pairs(channel)
-            sender._pair_state = (self, channel, static_v, mobile_v, state[4], mobiles)
-            return state[4], mobiles
-        entries = self._local_entries(channel, sender_x, sender_y)
+        cells = self._grid.get(channel, {})
+        members = sorted((radio for bucket in cells.values() for radio in bucket), key=_reg_seq)
+        table: Dict[Radio, List[Tuple[int, Radio, float, float]]] = {
+            radio: [] for radio in members
+        }
         propagation = self.propagation
         range_m = propagation.range_m
         fringe_start = propagation.fringe_start_m
         base_floor = propagation.base_loss
         base_loss_at = propagation.loss_probability
         rssi_at = self.rssi_at
-        statics: List[Tuple[int, Radio, float, float]] = []
-        for radio, x, y in entries:
-            if x is None or radio is sender:
-                continue
-            dx = sender_x - x
-            if dx > range_m or -dx > range_m:
-                continue
-            dist = _hypot(dx, sender_y - y)
-            if dist > range_m:
-                continue
-            base = base_floor if dist <= fringe_start else base_loss_at(dist)
-            statics.append((radio.reg_seq, radio, base, rssi_at(dist)))
-        mobiles = self._mobile_pairs(channel)
-        sender._pair_state = (self, channel, static_v, mobile_v, statics, mobiles)
-        return statics, mobiles
+        neighbourhoods: Dict[Tuple[int, int], List[Radio]] = {}
+        for radio in members:
+            key = radio._grid_cell
+            near = neighbourhoods.get(key)
+            if near is None:
+                cx, cy = key
+                near = []
+                for gx in (cx - 1, cx, cx + 1):
+                    for gy in (cy - 1, cy, cy + 1):
+                        bucket = cells.get((gx, gy))
+                        if bucket:
+                            near.extend(bucket)
+                near.sort(key=_reg_seq)
+                neighbourhoods[key] = near
+            seq = radio.reg_seq
+            row = table[radio]
+            x = radio._position_value.x
+            y = radio._position_value.y
+            for index in range(bisect_right(near, seq, key=_reg_seq), len(near)):
+                other = near[index]
+                position = other._position_value
+                dx = x - position.x
+                if dx > range_m or -dx > range_m:
+                    continue
+                dist = _hypot(dx, y - position.y)
+                if dist > range_m:
+                    continue
+                base = base_floor if dist <= fringe_start else base_loss_at(dist)
+                rssi = rssi_at(dist)
+                row.append((other.reg_seq, other, base, rssi))
+                table[other].append((seq, radio, base, rssi))
+        self._pair_tables[channel] = table
+        return table
 
     def _deliver_static(
         self,
@@ -874,11 +890,12 @@ class Medium:
         sender_x: float,
         sender_y: float,
         frame_air: float,
+        statics: List[Tuple[int, Radio, float, float]],
     ) -> None:
-        """Broadcast delivery for a static sender via the pair cache.
+        """Broadcast delivery for a static sender from its pair-table row.
 
         Byte-identical to the per-entry loop of ``_deliver_broadcast``:
-        the cached static pairs hold the same path-loss and RSSI floats
+        the row ``statics`` holds the same path-loss and RSSI floats
         that loop computes (same expressions, same operand order),
         channel and deafness are re-checked per visit exactly as it
         does, and mobile members — whose positions are delivery-time
@@ -892,21 +909,9 @@ class Medium:
         max_speed``, so until then it is skipped without evaluating its
         position. The full loop would reject it too, without a draw.
         """
-        # Inlined hit path of ``_sender_pairs`` — this runs once per
-        # transmitted frame at steady state, so the call is worth
-        # skipping when the radio-held state validates.
-        state = sender._pair_state
-        if (
-            state is not None
-            and state[1] == channel
-            and state[2] == self._static_version.get(channel, 0)
-            and state[3] == self._mobile_version.get(channel, 0)
-            and state[0] is self
-        ):
-            statics = state[4]
-            mobiles = state[5]
-        else:
-            statics, mobiles = self._sender_pairs(sender, channel, sender_x, sender_y)
+        mobiles = self._mobile_lists.get(channel)
+        if mobiles is None:
+            mobiles = self._mobile_pairs(channel)
         draw = self._rng.random
         trace = self.sim.trace
         extra_loss: Optional[float] = None

@@ -4,7 +4,7 @@
 historical loop the production path must reproduce byte for byte:
 visit every registered radio in registration order, keep the ones
 tuned to the frame's channel, and draw one loss uniform for each
-receiver in range. No spatial grid, no snapshot cache, no pair cache,
+receiver in range. No spatial grid, no snapshot cache, no pair table,
 no reach horizon, and the interference loss is computed up front for
 every completion. Its unicast path (auto-rate pick and ARQ delivery)
 is likewise the uncached one: the destination is looked up by address,
@@ -15,18 +15,25 @@ formula) is inherited unchanged, so a difference between an
 alone.
 
 The identity tests (``test_phy_kernel.py``, ``test_phy_spatial.py``,
-``test_phy_horizon.py``, ``test_phy_unicast.py``) run the same seeded
-world through both and compare every delivery, loss counter, trace
-event and the number of RNG draws consumed. ``oracle_mediums`` swaps
-the class into scenario builds so whole registry presets can be
-compared the same way.
+``test_phy_horizon.py``, ``test_phy_unicast.py``, ``test_phy_pairs.py``)
+run the same seeded world through both and compare every delivery,
+loss counter, trace event and the number of RNG draws consumed.
+``oracle_mediums`` swaps the class into scenario builds so whole
+registry presets can be compared the same way.
+
+``reference_pairs`` is the per-sender builder of a static sender's
+fan-out row that ``Medium._fill_pairs`` replaced: it computes each
+static pair from the sender's end alone, over the sender's 3×3
+snapshot. ``test_phy_pairs.py`` compares every row of the channel
+table with it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import importlib
-from typing import Any, Iterator, Optional
+import math
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.obs import trace as tr
 from repro.phy.channels import DEFAULT_DATA_RATE_BPS, RATE_LADDER
@@ -105,6 +112,38 @@ class OracleMedium(Medium):
                 self._report_tx_failure(sender, frame)
             return
         target._deliver(frame, self.rssi_at(dist))
+
+
+def reference_pairs(medium: Medium, sender: Radio) -> List[Tuple[int, Radio, float, float]]:
+    """``sender``'s static pair row, computed from the sender's end only.
+
+    One ``(reg_seq, radio, base_loss, rssi)`` tuple per other static
+    radio on the sender's channel within range, in registration order,
+    with the floats the per-entry loop of ``Medium._deliver_broadcast``
+    computes per frame.
+    """
+    position = sender.position()
+    sender_x = position.x
+    sender_y = position.y
+    propagation = medium.propagation
+    range_m = propagation.range_m
+    statics: List[Tuple[int, Radio, float, float]] = []
+    for radio, x, y in medium._local_entries(sender.channel, sender_x, sender_y):
+        if x is None or radio is sender:
+            continue
+        dx = sender_x - x
+        if dx > range_m or -dx > range_m:
+            continue
+        dist = math.hypot(dx, sender_y - y)
+        if dist > range_m:
+            continue
+        base = (
+            propagation.base_loss
+            if dist <= propagation.fringe_start_m
+            else propagation.loss_probability(dist)
+        )
+        statics.append((radio.reg_seq, radio, base, medium.rssi_at(dist)))
+    return statics
 
 
 @contextlib.contextmanager

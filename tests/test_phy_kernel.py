@@ -1,7 +1,7 @@
 """The PHY delivery path vs the reference scan (DESIGN.md §6.3).
 
 Two layers of proof that the one delivery path — spatial grid, static
-sender pair cache, scalar per-entry loop for mobile senders — changes
+pair table, scalar per-entry loop for mobile senders — changes
 *nothing observable* relative to the full-channel scan in
 ``tests/phy_oracle.py``:
 
@@ -137,7 +137,7 @@ def _world_params():
     for layout in ("orthogonal", "overlap"):
         params.append((30, 0.5, layout, 0.25))
     # Big worlds: mobile senders whose 3×3 snapshots hold dozens of
-    # statics, so the per-entry loop (not just the pair cache) carries
+    # statics, so the per-entry loop (not just the pair table) carries
     # much of the run.
     for mobile_frac in (0.1, 0.5):
         params.append((130, mobile_frac, "single", 0.25))
@@ -256,7 +256,7 @@ def test_generated_world_kernel_identity(params):
 
 
 class TestKernelEngagement:
-    """The static-sender pair cache: engagement, churn, re-registration."""
+    """The static pair table: engagement, churn, re-registration."""
 
     def test_static_pair_cache_engages(self):
         sim = Simulator()
@@ -266,9 +266,10 @@ class TestKernelEngagement:
         for _ in range(3):
             sender.transmit(frames.beacon(sender.name))
             sim.run()
-        assert sender._pair_state is not None
-        _, channel, static_v, mobile_v, statics, mobiles = sender._pair_state
-        assert channel == 1
+        statics = medium._pair_tables[1][sender]
+        assert statics
+        # A static sender never reads the 3×3 snapshot.
+        assert 1 not in medium._local_cache
         # Geometry matches a fresh derivation, entry for entry.
         model = medium.propagation
         for reg_seq, radio, base, rssi in statics:
@@ -290,18 +291,32 @@ class TestKernelEngagement:
         sim = Simulator()
         medium = Medium(sim, PropagationModel(), RandomStreams(3))
         radios = _populate(medium, 30, 0.3, (1, 6), seed=9)
-        sender = next(r for r in radios if r._static and r.channel == 1)
+        senders = [r for r in radios if r._static and r.channel == 1][:2]
+        sender = senders[0]
         sender.transmit(frames.beacon(sender.name))
         sim.run()
-        statics_before = sender._pair_state[4]
+        table_before = medium._pair_tables[1]
+        statics_before = table_before[sender]
         mover = next(r for r in radios if not r._static and r.channel == 6)
         mover.set_channel(1)
-        sender.transmit(frames.beacon(sender.name))
+        for each in senders:
+            each.transmit(frames.beacon(each.name))
         sim.run()
         # Static half survived the mobile churn by identity; the mobile
-        # half now includes the retuned radio.
-        assert sender._pair_state[4] is statics_before
-        assert any(radio is mover for _, radio in sender._pair_state[5])
+        # half now includes the retuned radio, in one list every static
+        # sender on the channel shares.
+        assert medium._pair_tables[1] is table_before
+        assert medium._pair_tables[1][sender] is statics_before
+        assert any(radio is mover for _, radio in medium._mobile_lists[1])
+        builds = []
+        build = medium._mobile_pairs
+        medium._mobile_pairs = lambda channel: builds.append(channel) or build(channel)
+        mover.set_channel(6)
+        for each in senders:
+            each.transmit(frames.beacon(each.name))
+        sim.run()
+        assert builds == [1]
+        assert all(radio is not mover for _, radio in medium._mobile_lists[1])
 
     def test_static_membership_change_rebuilds(self):
         sim = Simulator()
@@ -310,7 +325,7 @@ class TestKernelEngagement:
         sender = radios[0]
         sender.transmit(frames.beacon(sender.name))
         sim.run()
-        statics_before = sender._pair_state[4]
+        table_before = medium._pair_tables[1]
         joiner = Radio(
             medium,
             StaticMobility(Point(sender._position_value.x + 5.0,
@@ -319,13 +334,21 @@ class TestKernelEngagement:
         )
         sender.transmit(frames.beacon(sender.name))
         sim.run()
-        assert sender._pair_state[4] is not statics_before
-        assert any(radio is joiner for _, radio, _, _ in sender._pair_state[4])
+        table_joined = medium._pair_tables[1]
+        assert table_joined is not table_before
+        assert any(radio is joiner for _, radio, _, _ in table_joined[sender])
+        # Leaving rebuilds it too.
+        medium.unregister(joiner)
+        sender.transmit(frames.beacon(sender.name))
+        sim.run()
+        assert medium._pair_tables[1] is not table_joined
+        assert joiner not in medium._pair_tables[1]
+        assert all(radio is not joiner for _, radio, _, _ in medium._pair_tables[1][sender])
 
     def test_reregistration_never_serves_stale_geometry(self):
         # A neighbour unregisters and re-registers far away under a new
-        # mobility: the pair cache must re-derive, and the sender's own
-        # re-registration (partition handoff) clears its held state.
+        # mobility: the pair table must re-derive, and the sender's own
+        # re-registration (partition handoff) drops its row.
         def outcome(medium_class):
             sim = Simulator()
             medium = medium_class(sim, PropagationModel(), RandomStreams(11))
@@ -351,14 +374,78 @@ class TestKernelEngagement:
         medium_a = Medium(sim, PropagationModel(), RandomStreams(1))
         medium_b = Medium(sim, PropagationModel(), RandomStreams(2), stream_name="phy-b")
         sender = Radio(medium_a, StaticMobility(Point(0.0, 0.0)), 1, name="s")
-        Radio(medium_a, StaticMobility(Point(10.0, 0.0)), 1, name="a")
+        neighbour = Radio(medium_a, StaticMobility(Point(10.0, 0.0)), 1, name="a")
         sender.transmit(frames.beacon("s"))
         sim.run()
-        assert sender._pair_state is not None
+        assert sender in medium_a._pair_tables[1]
         medium_a.unregister(sender)
         sender.medium = medium_b
         medium_b.register(sender)
-        assert sender._pair_state is None
+        assert 1 not in medium_a._pair_tables
+        assert 1 not in medium_b._pair_tables
+        neighbour.transmit(frames.beacon("a"))
+        sender.transmit(frames.beacon("s"))
+        sim.run()
+        assert sender not in medium_a._pair_tables[1]
+        assert medium_a._pair_tables[1][neighbour] == []
+        assert medium_b._pair_tables[1] == {sender: []}
+
+    def test_metro_small_warmup_fills_each_table_once(self):
+        # Through metro-core-small's warm-up no static sender reads a
+        # 3×3 snapshot, and each (medium, channel) table is filled at
+        # most once per static membership epoch: once, since its APs
+        # never move.
+        from repro.scenario.build import build, make_fleet
+        from repro.scenario.registry import scenario
+
+        spec = scenario("metro-core-small", duration=10.0)
+        world = build(spec)
+        drivers = make_fleet(world, spec)
+        epochs = {}
+        fills = []
+        static_snapshots = []
+        senders = []
+        invalidate = Medium._invalidate
+        fill = Medium._fill_pairs
+        local_entries = Medium._local_entries
+        deliver = Medium._deliver_broadcast
+
+        def counting_invalidate(self, channel, static_member):
+            if static_member:
+                key = (self, channel)
+                epochs[key] = epochs.get(key, 0) + 1
+            invalidate(self, channel, static_member)
+
+        def counting_fill(self, channel):
+            fills.append((self, channel, epochs.get((self, channel), 0)))
+            return fill(self, channel)
+
+        def watched_local_entries(self, channel, x, y):
+            if senders[-1]._static:
+                static_snapshots.append((senders[-1].name, channel))
+            return local_entries(self, channel, x, y)
+
+        def watched_deliver(self, sender, *args):
+            senders.append(sender)
+            try:
+                deliver(self, sender, *args)
+            finally:
+                senders.pop()
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Medium, "_invalidate", counting_invalidate)
+            patch.setattr(Medium, "_fill_pairs", counting_fill)
+            patch.setattr(Medium, "_local_entries", watched_local_entries)
+            patch.setattr(Medium, "_deliver_broadcast", watched_deliver)
+            for driver in drivers:
+                driver.start()
+            world.sim.run(until=5.0)
+        assert static_snapshots == []
+        assert fills and len(set(fills)) == len(fills)
+        mediums = world.partitions.mediums
+        assert {(medium, channel) for medium, channel, _ in fills} == {
+            (medium, channel) for medium in mediums for channel in medium._pair_tables
+        }
 
 
 def _busy_mid_fanout(medium_class, mobile_sender, mobile_receiver):
