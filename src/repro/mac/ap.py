@@ -28,7 +28,7 @@ from repro.mac import frames
 from repro.mac.frames import Frame, FrameType
 from repro.obs import trace as tr
 from repro.phy.radio import Medium, Radio
-from repro.sim.engine import Simulator
+from repro.sim.engine import Lane, Simulator
 from repro.sim.randomness import ParkedStream
 from repro.world.geometry import Point
 from repro.world.mobility import StaticMobility
@@ -71,6 +71,18 @@ _BEACON = FrameType.BEACON
 class AccessPoint:
     """An 802.11 AP with PSM buffering and pluggable uplink."""
 
+    #: A beacon tick / an ageing pass is pending. Neither can be
+    #: cancelled, so ``stop()`` lets each chain find ``_running`` false
+    #: and end, and a ``start()`` before that revives it.
+    _beacon_armed = False
+    _ageing_armed = False
+    #: Beacons and ageing passes re-arm a constant delay after they
+    #: fire, so every AP of the world with the same delay shares one
+    #: FIFO lane (DESIGN.md §6.1), and only its head is on the heap.
+    #: Each chain fetches its lane at its first re-arm.
+    _beacons: Optional[Lane] = None
+    _ageing: Optional[Lane] = None
+
     def __init__(
         self,
         sim: Simulator,
@@ -106,10 +118,8 @@ class AccessPoint:
         self.on_uplink: Optional[Callable[[str, object], None]] = None
         self.on_associated: Optional[Callable[[str], None]] = None
         self.psm_drops = 0
-        self._beaconing = False
-        #: ``_beacon_tick`` bound once: each reschedule then allocates
-        #: only its heap entry, not a fresh bound method.
-        self._tick = self._beacon_tick
+        #: Between ``start()`` and ``stop()``.
+        self._running = False
         #: Beacons are immutable after construction and nothing in the
         #: stack keeps per-frame state for them (``Frame.seq`` only
         #: feeds ``__repr__``), so one frame object serves every tick
@@ -138,30 +148,57 @@ class AccessPoint:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> None:
-        """Begin beaconing and client ageing."""
-        if self._beaconing:
+        """Begin beaconing and client ageing.
+
+        A restart whose beacon tick or ageing pass from before ``stop()``
+        is still pending resumes that chain, so the AP never runs two.
+        """
+        if self._running:
             return
-        self._beaconing = True
-        # Desynchronise beacons across APs sharing a channel.
-        initial = self._rng.uniform(0, self.config.beacon_interval)
-        self.sim.schedule(initial, self._tick)
-        self.sim.schedule(self.config.client_timeout, self._age_clients)
+        self._running = True
+        sim = self.sim
+        config = self.config
+        if not self._beacon_armed:
+            self._beacon_armed = True
+            # Desynchronise beacons across APs sharing a channel.
+            initial = self._rng.uniform(0, config.beacon_interval)
+            sim.schedule(initial, self._beacon_tick)
+        if not self._ageing_armed:
+            self._ageing_armed = True
+            timeout = config.client_timeout
+            age = type(self)._age_clients
+            sim.lane((age, timeout), age).push(timeout, self)
 
     def _beacon_tick(self) -> None:
-        if not self._beaconing:
+        if not self._running:
+            self._beacon_armed = False
             return
         self.radio.transmit(self._beacon_frame)
-        self.sim.schedule(self.config.beacon_interval, self._tick)
+        interval = self.config.beacon_interval
+        lane = self._beacons
+        if lane is None:
+            tick = type(self)._beacon_tick
+            lane = self._beacons = self.sim.lane((tick, interval), tick)
+        lane.push(interval, self)
 
     def stop(self) -> None:
-        self._beaconing = False
+        """Stop beaconing and client ageing (each at its next pending tick)."""
+        self._running = False
 
     def _age_clients(self) -> None:
+        if not self._running:
+            self._ageing_armed = False
+            return
         horizon = self.sim.now - self.config.client_timeout
         for client in sorted(self.associated):
             if self._last_heard.get(client, 0.0) < horizon:
                 self._drop_client(client)
-        self.sim.schedule(self.config.client_timeout / 2, self._age_clients)
+        half = self.config.client_timeout / 2
+        lane = self._ageing
+        if lane is None:
+            age = type(self)._age_clients
+            lane = self._ageing = self.sim.lane((age, half), age)
+        lane.push(half, self)
 
     def _drop_client(self, client: str) -> None:
         self.associated.discard(client)

@@ -38,9 +38,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from collections import deque
 from operator import attrgetter
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import trace as tr
 from repro.phy.channels import (
@@ -50,17 +49,13 @@ from repro.phy.channels import (
     frame_airtime,
 )
 from repro.phy.propagation import PropagationModel, combined_loss
-from repro.sim.engine import Simulator
+from repro.sim.engine import Lane, Simulator
 from repro.sim.randomness import RandomStreams
 from repro.world.geometry import distance
 from repro.world.mobility import MobilityModel, StaticMobility
 
 _hypot = math.hypot
 _reg_seq = attrgetter("reg_seq")
-
-#: Values per queued frame in ``Medium._air_backlog``: reserved time
-#: and sequence number, sender, frame, delivery class, airtime/attempt.
-_AIR_FIELDS = 6
 
 #: ``FrameType.DATA``, resolved on first use (importing ``mac.frames``
 #: at module load would cycle through the package imports).
@@ -333,15 +328,10 @@ class Medium:
         #: Cumulative transmit airtime per channel (s): the utilisation
         #: view the metrics registry snapshots as ``phy.airtime_s.ch*``.
         self.airtime_by_channel: Dict[int, float] = {}
-        #: The airtime FIFO's off-heap half (see ``broadcast``):
-        #: ``_air_backlog[c]`` exists while channel ``c``'s queue head —
-        #: a frame scheduled through ``_air_done`` — is on the event
-        #: heap, and holds the frames queued behind it, oldest first,
-        #: flattened to ``_AIR_FIELDS`` values per frame (the reserved
-        #: heap key, then the completion's arguments) so a deep backlog
-        #: allocates no per-frame container the garbage collector must
-        #: track.
-        self._air_backlog: Dict[int, Deque[Any]] = {}
+        #: channel → its airtime FIFO (see ``broadcast``): the engine
+        #: lanes of the frames that found the channel busy, broadcast
+        #: class first, then unicast.
+        self._air_lanes: Dict[int, Tuple[Lane, Lane]] = {}
         metrics = sim.metrics
         if metrics is not None:
             metrics.add_source(self._metrics_source)
@@ -350,7 +340,9 @@ class Medium:
         out: Dict[str, float] = {
             "phy.frames_sent": sum(radio.frames_sent for radio in self._radios),
             "phy.frames_dropped": sum(radio.frames_lost for radio in self._radios),
-            "phy.air_backlog": sum(map(len, self._air_backlog.values())) // _AIR_FIELDS,
+            "phy.air_backlog": sum(
+                len(lane) - 1 for lanes in self._air_lanes.values() for lane in lanes if lane
+            ),
         }
         for channel, airtime in self.airtime_by_channel.items():
             out[f"phy.airtime_s.ch{channel}"] = airtime
@@ -535,12 +527,12 @@ class Medium:
         through instead of repeating it.
 
         A frame that finds the channel idle completes through an
-        ordinary engine event. Behind a busy channel only the head of
-        the FIFO sits on the event heap (DESIGN.md §6.1): the first
-        queued frame is scheduled through ``_air_done``, and every
-        later one reserves its heap key ``(time, seq)`` now — exactly
-        the key ``sim.schedule`` would give it — and waits in the
-        channel's ``_air_backlog`` until its predecessor completes.
+        ordinary engine event. A frame that finds it busy joins the
+        channel's airtime FIFO (DESIGN.md §6.1): one engine lane per
+        delivery class, whose keys ``now + (end - now)`` strictly
+        increase along the channel, so only each lane's head is on the
+        event heap and the frame still completes exactly where
+        ``sim.schedule`` would have put it.
         """
         channel = sender.channel
         if airtime is None:
@@ -560,41 +552,16 @@ class Medium:
             else:
                 sim.schedule(delay, self._deliver_unicast, sender, frame, channel, attempt)
             return
-        extra = airtime if unacked else attempt
-        backlog = self._air_backlog.get(channel)
-        if backlog is not None:
-            backlog.extend((now + delay, sim.reserve_seq(), sender, frame, unacked, extra))
-            return
-        self._air_backlog[channel] = deque()
-        sim.schedule(delay, self._air_done, sender, frame, channel, unacked, extra)
-
-    def _air_done(
-        self, sender: Radio, frame: Any, channel: int, unacked: bool, extra: Any
-    ) -> None:
-        """Complete the queue head's frame and put its successor on the heap.
-
-        ``extra`` is the frame's airtime (broadcast class) or ARQ
-        attempt (unicast class). The successor goes on the heap under
-        the key it reserved in ``broadcast``; keys strictly increase
-        along a channel's queue, so it pops exactly where a per-frame
-        event scheduled at queue time would have.
-        """
-        backlog = self._air_backlog[channel]
-        if backlog:
-            pop = backlog.popleft
-            time, seq, next_sender, next_frame, next_unacked, next_extra = (
-                pop(), pop(), pop(), pop(), pop(), pop()
+        lanes = self._air_lanes.get(channel)
+        if lanes is None:
+            lanes = self._air_lanes[channel] = (
+                sim.lane((self._deliver_broadcast, channel), self._deliver_broadcast, 4),
+                sim.lane((self._deliver_unicast, channel), self._deliver_unicast, 4),
             )
-            self.sim.schedule_reserved(
-                time, seq, self._air_done,
-                next_sender, next_frame, channel, next_unacked, next_extra,
-            )
-        else:
-            del self._air_backlog[channel]
         if unacked:
-            self._deliver_broadcast(sender, frame, channel, extra)
+            lanes[0].push(delay, sender, frame, channel, airtime)
         else:
-            self._deliver_unicast(sender, frame, channel, extra)
+            lanes[1].push(delay, sender, frame, channel, attempt)
 
     def channel_busy_until(self, channel: int) -> float:
         return self._channel_busy_until.get(channel, 0.0)
@@ -1044,7 +1011,9 @@ class Medium:
                 airtime = self.airtime(frame)
                 busy_until = self._channel_busy_until.get(channel, 0.0)
                 self._channel_busy_until[channel] = max(busy_until, self.sim.now + airtime)
-                self.sim.schedule(airtime, self._deliver_unicast, sender, frame, channel, attempt + 1)
+                self.sim.schedule(
+                    airtime, self._deliver_unicast, sender, frame, channel, attempt + 1
+                )
             else:
                 self._report_tx_failure(sender, frame)
             return

@@ -2,11 +2,19 @@
 
 The engine is a heap of ``(time, sequence, callback, args)`` entries.
 Sequence numbers break ties so that runs are fully deterministic for a
-given seed. Only cancellable events (:meth:`Simulator.schedule_cancellable`,
-used by :class:`~repro.sim.timers.Timer`) carry an :class:`EventHandle`:
-their entry is ``(time, sequence, handle, None)``, and
-:meth:`Simulator.reschedule` can move one to a later key without
-touching the heap.
+given seed. An entry is one of three kinds:
+
+- a plain event, ``(time, seq, callback, args)`` (:meth:`Simulator.schedule`);
+- a cancellable event, ``(time, seq, handle, None)``
+  (:meth:`Simulator.schedule_cancellable`, used by
+  :class:`~repro.sim.timers.Timer`), which fires through its
+  :class:`EventHandle`; :meth:`Simulator.reschedule` can move one to a
+  later key without touching the heap;
+- the head of a FIFO :class:`Lane`, ``(time, seq, lane, None)``
+  (:meth:`Simulator.lane`). A lane holds events whose keys never
+  decrease, so only its earliest one needs to be on the heap; the rest
+  wait in the lane, stored flat, until their predecessor fires.
+
 On top of the raw callback API sits a small generator-based process layer
 (in the style of SimPy): a process is a generator that yields
 :class:`Timeout`, :class:`Event`, or another :class:`Process`, and is
@@ -18,7 +26,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Generator, Hashable, List, Optional, Tuple
 
 
 class SimulationError(Exception):
@@ -71,6 +80,10 @@ class EventHandle:
 
     __slots__ = ("time", "seq", "cancelled", "_callback", "_args", "_sim")
 
+    #: Not a lane: the run loop tells the two ``args is None`` entry
+    #: kinds apart by this attribute (a :class:`Lane` has its queue).
+    _queue = None
+
     def __init__(
         self,
         sim: "Simulator",
@@ -91,6 +104,98 @@ class EventHandle:
         if not self.cancelled:
             self.cancelled = True
             self._sim._cancelled_pending += 1
+
+
+#: ``_TAKE[n](queue.popleft)`` pops one queued event's ``n`` arguments
+#: as a tuple; one argument is popped inline instead. Spelled out per
+#: arity: a loop or comprehension costs several times as much.
+_TAKE: Dict[int, Callable[[Callable[[], Any]], Tuple[Any, ...]]] = {
+    2: lambda pop: (pop(), pop()),
+    3: lambda pop: (pop(), pop(), pop()),
+    4: lambda pop: (pop(), pop(), pop(), pop()),
+}
+
+
+class Lane:
+    """A FIFO of events with one callback, whose keys never decrease.
+
+    Made by :meth:`Simulator.lane`. :meth:`push` gives an event the
+    key ``(time, seq)`` that :meth:`Simulator.schedule` would, and
+    refuses a key below the previous push's, so the lane's earliest
+    event, its *head*, precedes all the others. Only the head is on
+    the heap, as ``(time, seq, lane, None)``; when it fires, the run
+    loop puts the next key in its place. Each waiting event has a
+    smaller-keyed predecessor present, so the heap's minimum is the
+    minimum over everything scheduled and every event pops where a
+    plain ``schedule`` call would have put it.
+
+    Waiting events are stored flat in one deque (``time, seq`` and the
+    ``arity`` arguments; the head's arguments alone), so a deep lane
+    allocates no per-event container for the collector to track. A
+    lane cannot cancel: a callback that may be moot checks its own
+    state when it fires.
+    """
+
+    __slots__ = ("callback", "arity", "_queue", "_take", "_last", "_sim", "_heap", "_next_seq")
+
+    def __init__(self, sim: "Simulator", callback: Callable[..., Any], arity: int):
+        if arity != 1 and arity not in _TAKE:
+            raise SimulationError(f"lane arity must be 1 to {max(_TAKE)}, got {arity}")
+        self.callback = callback
+        self.arity = arity
+        self._queue: Deque[Any] = deque()
+        self._take = _TAKE.get(arity)
+        #: The time of the latest push: the next one must not be earlier.
+        self._last = -math.inf
+        self._sim = sim
+        self._heap = sim._heap
+        self._next_seq = sim._sequence.__next__
+
+    def push(self, delay: float, arg: Any, *more: Any) -> None:
+        """Run ``callback(arg, *more)`` after ``delay``, behind every earlier push.
+
+        The first argument is spelled out: a one-argument push then
+        collects no tuple for ``more`` (the empty one is shared).
+        """
+        time = self._sim.now + delay
+        if len(more) != self.arity - 1:
+            raise SimulationError(f"lane takes {self.arity} argument(s), got {len(more) + 1}")
+        queue = self._queue
+        if queue:
+            # The head is pending, so ``_last >= now``: this bound
+            # also keeps the event out of the past.
+            if time < self._last:
+                raise SimulationError(f"lane keys must not decrease ({time} < {self._last})")
+            queue.append(time)
+            queue.append(self._next_seq())
+        else:
+            if delay < 0:
+                raise SimulationError(f"cannot schedule in the past (delay={delay})")
+            heapq.heappush(self._heap, (time, self._next_seq(), self, None))
+        self._last = time
+        queue.append(arg)
+        if more:
+            queue.extend(more)
+
+    def __len__(self) -> int:
+        """Events pushed and not yet fired, the head included."""
+        size = len(self._queue)
+        return (size - self.arity) // (self.arity + 2) + 1 if size else 0
+
+    def _advance(self) -> Tuple[Any, ...]:
+        """Pop the head's arguments and put the next key on the heap.
+
+        The head must be at the top of the heap. The run loop inlines
+        this; :meth:`Simulator.step` calls it.
+        """
+        queue = self._queue
+        take = queue.popleft
+        args = (take(),) if self._take is None else self._take(take)
+        if queue:
+            heapq.heapreplace(self._heap, (take(), take(), self, None))
+        else:
+            heapq.heappop(self._heap)
+        return args
 
 
 class Event:
@@ -263,18 +368,12 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         #: ``(time, seq, callback, args)`` entries, or ``(time, seq,
-        #: handle, None)`` for cancellable ones.
+        #: handle, None)`` for cancellable ones and ``(time, seq, lane,
+        #: None)`` for lane heads.
         self._heap: List[Tuple[float, int, Any, Any]] = []
         self._sequence = itertools.count()
-        #: ``reserve_seq()`` takes the next tie-break sequence number
-        #: without scheduling: together with :meth:`schedule_reserved`
-        #: it lets a caller fix an event's heap key ``(time, seq)`` now
-        #: and push it later. An event reserved here and pushed before
-        #: anything could pop after it fires exactly where a
-        #: :meth:`schedule` call made at reservation time would have
-        #: put it. It is the counter's own ``__next__``, so a
-        #: reservation costs no Python frame.
-        self.reserve_seq: Callable[[], int] = self._sequence.__next__
+        #: Every lane made by :meth:`lane`, by its key.
+        self._lanes: Dict[Hashable, Lane] = {}
         self._stopped = False
         #: Cancelled entries still sitting in the heap as tombstones.
         #: ``pending_events`` is ``len(heap) - this`` — maintained on
@@ -300,7 +399,7 @@ class Simulator:
         return {
             "sim.events_executed": self.events_executed,
             "sim.pending_events": self.pending_events,
-            "sim.heap_depth": len(self._heap),
+            "sim.heap_depth": self.heap_depth,
         }
 
     # -- scheduling ------------------------------------------------------
@@ -354,19 +453,20 @@ class Simulator:
         handle.cancel()
         return self.schedule_cancellable(delay, handle._callback, *handle._args)
 
-    def schedule_reserved(
-        self, time: float, seq: int, callback: Callable[..., Any], *args: Any
-    ) -> None:
-        """Run ``callback(*args)`` at absolute ``time`` under a reserved ``seq``.
+    def lane(self, key: Hashable, callback: Callable[..., Any], arity: int = 1) -> Lane:
+        """The :class:`Lane` registered under ``key``, made on first use.
 
-        ``seq`` must come from ``reserve_seq()`` and be pushed once.
-        The caller must push the entry before the engine could pop any
-        entry ordered after ``(time, seq)`` — e.g. a FIFO whose keys
-        strictly increase pushes each entry when its predecessor fires.
+        Callers that share a monotone key source share a lane by
+        naming it with the same key, e.g. every AP whose beacons re-arm
+        a constant ``beacon_interval`` later. Asking again for ``key``
+        with another callback or arity raises.
         """
-        if time < self.now:
-            raise SimulationError(f"cannot schedule in the past (time={time}, now={self.now})")
-        heapq.heappush(self._heap, (time, seq, callback, args))
+        lane = self._lanes.get(key)
+        if lane is None:
+            lane = self._lanes[key] = Lane(self, callback, arity)
+        elif lane.callback != callback or lane.arity != arity:
+            raise SimulationError(f"lane {key!r} exists with another callback or arity")
+        return lane
 
     def event(self) -> Event:
         """Create a fresh (untriggered) :class:`Event`."""
@@ -393,21 +493,28 @@ class Simulator:
         run loop does not call it — ``_run_loop`` inlines the same body.
         """
         heap = self._heap
-        pop = heapq.heappop
         while heap:
-            time, seq, callback, args = pop(heap)
+            time, seq, callback, args = heap[0]
             if args is None:
-                if callback.cancelled:
+                if callback._queue is not None:
+                    args = callback._advance()
+                    callback = callback.callback
+                elif callback.cancelled:
+                    heapq.heappop(heap)
                     self._cancelled_pending -= 1
                     continue
-                if seq != callback.seq:
+                elif seq != callback.seq:
                     # Rescheduled later: re-push under the current key.
-                    heapq.heappush(heap, (callback.time, callback.seq, callback, None))
+                    heapq.heapreplace(heap, (callback.time, callback.seq, callback, None))
                     continue
-                # Mark consumed: a later cancel() must be a no-op.
-                callback.cancelled = True
-                args = callback._args
-                callback = callback._callback
+                else:
+                    heapq.heappop(heap)
+                    # Mark consumed: a later cancel() must be a no-op.
+                    callback.cancelled = True
+                    args = callback._args
+                    callback = callback._callback
+            else:
+                heapq.heappop(heap)
             if time < self.now:
                 raise SimulationError("event heap corrupted: time went backwards")
             self.now = time
@@ -443,11 +550,15 @@ class Simulator:
         pop, so an entry past ``until`` stays on the heap, and
         tombstones at its head are gone — ``pending_events`` and
         ``heap_depth`` read the same whichever way the loop stopped. A
-        plain entry fires straight from its tuple; a cancellable one
-        (``args`` is ``None``) through its handle, which is marked
-        consumed first, unless its key is stale (``reschedule``): then
-        it goes back on the heap under the handle's key, uncounted. The
-        clock is written only when time advances.
+        plain entry fires straight from its tuple. A lane head (``args``
+        is ``None``, the callback slot holds a :class:`Lane`) fires the
+        lane's callback with the arguments popped off the lane's queue,
+        after the next queued key has taken its heap slot in one
+        ``heapreplace`` (``Lane._advance``, inlined). A cancellable
+        entry fires through its handle, which is marked consumed first,
+        unless its key is stale (``reschedule``): then it goes back on
+        the heap under the handle's key, uncounted. The clock is written
+        only when time advances.
         ``events_executed`` advances per callback (a metrics snapshot
         taken inside a callback sees the exact count), and ``stop()``
         takes effect after the current callback returns.
@@ -461,19 +572,45 @@ class Simulator:
         while heap:
             time, seq, callback, args = heap[0]
             if args is None:
-                if callback.cancelled:
+                queue = callback._queue
+                if queue is None:
+                    if callback.cancelled:
+                        pop(heap)
+                        self._cancelled_pending -= 1
+                        continue
+                    if time > limit:
+                        break
+                    if seq != callback.seq:
+                        replace(heap, (callback.time, callback.seq, callback, None))
+                        continue
                     pop(heap)
-                    self._cancelled_pending -= 1
+                    callback.cancelled = True
+                    args = callback._args
+                    callback = callback._callback
+                else:
+                    if time > limit:
+                        break
+                    if time != now:
+                        if time < now:
+                            raise SimulationError("event heap corrupted: time went backwards")
+                        self.now = now = time
+                    self.events_executed += 1
+                    take = queue.popleft
+                    spread = callback._take
+                    args = take() if spread is None else spread(take)
+                    if queue:
+                        replace(heap, (take(), take(), callback, None))
+                    else:
+                        pop(heap)
+                    if spread is None:
+                        # A direct call: unlike ``f(*args)``, Python
+                        # runs it without re-entering the interpreter.
+                        callback.callback(args)
+                    else:
+                        callback.callback(*args)
+                    if self._stopped:
+                        break
                     continue
-                if time > limit:
-                    break
-                if seq != callback.seq:
-                    replace(heap, (callback.time, callback.seq, callback, None))
-                    continue
-                pop(heap)
-                callback.cancelled = True
-                args = callback._args
-                callback = callback._callback
             else:
                 if time > limit:
                     break
@@ -493,7 +630,7 @@ class Simulator:
         heap = self._heap
         while heap:
             time, seq, callback, args = heap[0]
-            if args is None:
+            if args is None and callback._queue is None:
                 if callback.cancelled:
                     heapq.heappop(heap)
                     self._cancelled_pending -= 1
@@ -505,16 +642,20 @@ class Simulator:
         return None
 
     @property
+    def heap_depth(self) -> int:
+        """Entries physically on the heap: tombstones and lane heads included."""
+        return len(self._heap)
+
+    @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) scheduled events on the heap.
+        """Number of scheduled events that have not fired or been cancelled.
 
-        Counts heap entries only: events whose key is reserved but not
-        yet pushed (``reserve_seq()``) are invisible here — the PHY's
-        queued frames, for example, are reported as ``phy.air_backlog``.
-
-        O(1): the heap length minus the tombstone count, maintained on
-        cancel and tombstone-pop only — the metrics registry samples
-        this on every snapshot, so it must stay off the hot path, and
-        the hot schedule/fire path must not pay for it either.
+        The heap length minus the tombstone count (maintained on cancel
+        and tombstone-pop only, so the hot schedule/fire path pays
+        nothing for it), plus every lane's events waiting behind its
+        head — the PHY's share of those is ``phy.air_backlog``. One
+        step per lane: the metrics registry samples this on every
+        snapshot, and a world has a few dozen lanes.
         """
-        return len(self._heap) - self._cancelled_pending
+        waiting = sum(len(lane) - 1 for lane in self._lanes.values() if lane._queue)
+        return len(self._heap) - self._cancelled_pending + waiting

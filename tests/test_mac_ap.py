@@ -97,6 +97,51 @@ class TestBeaconing:
         # not a doubled one (~7).
         assert len(beacons) in (3, 4)
 
+    def test_stop_ends_both_chains(self):
+        """An outage AP goes quiet: no beacon tick or ageing pass re-arms."""
+        sim, medium = make_world()
+        ap = make_ap(sim, medium, config=ApConfig(client_timeout=1.0))
+        ap.start()
+        sim.run(until=1.75)  # past the first ageing pass, at t=1
+        sent = ap.radio.frames_sent
+        ap.stop()
+        # Only the pending tick and pass remain; each finds the AP
+        # stopped and ends its chain, so nothing is left to run.
+        assert sim.pending_events == 2
+        sim.run(until=10.0)
+        assert sim.pending_events == 0
+        assert ap.radio.frames_sent == sent
+
+    def test_restart_before_the_pending_tick_keeps_one_chain_each(self):
+        sim, medium = make_world()
+        ap = make_ap(sim, medium, config=ApConfig(client_timeout=1.0))
+        client = make_client(medium)
+        beacons = []
+        client.on_receive = lambda f: beacons.append(sim.now)
+        ap.start()
+        sim.run(until=0.55)
+        ap.stop()
+        ap.start()  # the tick due within 0.1 s is still pending
+        assert sim.pending_events == 2
+        sim.run(until=3.55)
+        assert sim.pending_events == 2  # one beacon tick, one ageing pass
+        intervals = [b - a for a, b in zip(beacons, beacons[1:])]
+        assert len(beacons) in (35, 36) and all(abs(i - 0.1) < 1e-6 for i in intervals)
+
+    def test_restart_after_the_chains_ended_starts_new_ones(self):
+        sim, medium = make_world()
+        ap = make_ap(sim, medium, config=ApConfig(client_timeout=1.0))
+        ap.start()
+        sim.run(until=0.55)
+        ap.stop()
+        sim.run(until=2.0)
+        assert sim.pending_events == 0
+        sent = ap.radio.frames_sent
+        ap.start()
+        sim.run(until=sim.now + 2.0)
+        assert sim.pending_events == 2
+        assert ap.radio.frames_sent - sent in (19, 20, 21)
+
 
 class TestRng:
     def test_fallback_seed_is_sha256_of_name(self):

@@ -171,6 +171,30 @@ class TestWorldPartitionWiring:
         assert driver.radio in world.partitions._managed
         assert driver.radio.medium is world.partitions.medium_for(driver.radio.position())
 
+    def test_heap_depth_does_not_scale_with_the_fleet(self):
+        """Per-AP timers wait in lanes: the heap holds lane heads, not APs.
+
+        Each medium's channels hold at most two airtime lane heads
+        (broadcast and unicast); beacons, ageing passes and the driver
+        add a few more. A per-AP timer back on the heap would take it
+        past the fleet size.
+        """
+        from repro.scenario.build import build, make_fleet
+        from repro.scenario.registry import scenario
+
+        spec = scenario("metro-core-small")
+        world = build(spec)
+        for driver in make_fleet(world, spec):
+            driver.start()
+        regions = world.partitions.mediums[1:]  # the default medium stays empty
+        channels = {ap.channel for ap in world.aps.values()}
+        bound = len(regions) * len(channels) * 2 + 8
+        assert bound < len(world.aps)
+        for until in (0.5, 1.0, 2.0, 5.0):
+            world.sim.run(until=until)
+            assert world.sim.heap_depth <= bound
+            assert world.sim.pending_events > len(world.aps)
+
     def test_enable_partitions_after_aps_rejected(self):
         from repro.scenario.build import BuildError, build
         from repro.scenario.registry import scenario

@@ -205,9 +205,73 @@ def test_air_backlog_counts_frames_waiting_for_the_air():
     for _ in range(200):
         sender.transmit(frames.beacon("a"))
     # The frame that found the channel idle, and the head of the queue
-    # behind it, are heap events; the rest wait off-heap.
+    # behind it, are heap events; the rest wait off-heap, and still
+    # count as pending.
     assert registry.snapshot()["phy.air_backlog"] == 198
-    assert sim.pending_events == 2
+    assert sim.pending_events == 200
+    assert sim.heap_depth == 2
     sim.run()
     assert registry.snapshot()["phy.air_backlog"] == 0
     assert sender.frames_sent == 200
+
+
+def test_drained_run_leaves_every_airtime_lane_empty():
+    """Airtime FIFO conservation on a world that backs up, then drains.
+
+    Every transmitted frame completes its first attempt exactly once,
+    on its channel in transmit order; ARQ retries come on top. When the
+    run drains, every lane is empty and idle and nothing is pending.
+    """
+    sim = Simulator()
+    registry = MetricsRegistry()
+    sim.metrics = registry
+    medium = Medium(sim, PropagationModel(range_m=100.0), RandomStreams(5))
+    completions = []
+    for name in ("_deliver_broadcast", "_deliver_unicast"):
+        deliver = getattr(medium, name)
+
+        def record(sender, frame, channel, extra, deliver=deliver):
+            completions.append((sim.now, channel, frame.payload))
+            deliver(sender, frame, channel, extra)
+
+        setattr(medium, name, record)
+    senders = {}
+    for channel in (1, 6):
+        origin = StaticMobility(Point(0.0, 0.0))
+        senders[channel] = Radio(medium, origin, channel, name=f"ap{channel}")
+        Radio(medium, _Drift(3.0), channel, name=f"walker{channel}")
+        for i in range(20):
+            Radio(medium, StaticMobility(Point(4.5 * i, 2.0)), channel, name=f"rx{channel}-{i}")
+    sent = {1: [], 6: []}
+
+    def burst(k: int) -> None:
+        for channel, sender in senders.items():
+            payload = (channel, k)
+            sent[channel].append(payload)
+            if k % 3:
+                sender.transmit(frames.mgmt_frame(
+                    frames.FrameType.BEACON, sender.address, frames.BROADCAST, payload,
+                ))
+            else:
+                sender.transmit(frames.data_frame(sender.address, f"rx{channel}-19", payload, 900))
+
+    for k in range(300):
+        sim.schedule(0.0004 * k, burst, k)
+    peak = []
+    sim.schedule(0.1, lambda: peak.append(registry.snapshot()["phy.air_backlog"]))
+    sim.run()
+    assert peak[0] > 100, "the channels should back up"
+    for channel in (1, 6):
+        seen = set()
+        first = []
+        for when, on, payload in completions:
+            if on == channel and payload not in seen:
+                seen.add(payload)
+                first.append((when, payload))
+        assert [payload for _when, payload in first] == sent[channel]
+        assert [when for when, _payload in first] == sorted(when for when, _payload in first)
+    assert len(completions) > 600, "some unicast frames should need ARQ retries"
+    lanes = [lane for lanes in medium._air_lanes.values() for lane in lanes]
+    assert lanes and all(len(lane) == 0 and not lane._queue for lane in lanes)
+    assert registry.snapshot()["phy.air_backlog"] == 0
+    assert sim.pending_events == 0 and sim.heap_depth == 0

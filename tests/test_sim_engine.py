@@ -391,34 +391,27 @@ class TestReschedule:
             sim.reschedule(handle, -0.1)
 
 
-def _run_script(ops, parents, reserved):
-    """Run one event script; chained ops reserve their key when issued.
+def _run_script(ops, parents, laned):
+    """Run one event script; chained ops form one FIFO of the same callback.
 
     ``ops[i] = (delay, chained)``; op ``i`` is issued at t=0 when
     ``parents[i] == -1``, else when event ``parents[i]`` fires. Chained
-    ops form one FIFO whose times never decrease. With ``reserved``
-    the FIFO keeps only its head on the heap (``reserve_seq`` when
-    issued, ``schedule_reserved`` when the predecessor fires);
-    without, every op is a plain ``schedule`` call.
+    ops form one FIFO whose times never decrease. With ``laned`` the
+    FIFO is a :class:`~repro.sim.engine.Lane`, so only its head is on
+    the heap; without, every op is a plain ``schedule`` call.
     """
     sim = Simulator()
     log = []
     children = {}
     for op, parent in enumerate(parents):
         children.setdefault(parent, []).append(op)
-    fifo = {"tail": 0.0, "on_heap": False, "backlog": []}
+    fifo = {"tail": 0.0}
 
     def fire(op):
         log.append((sim.now, op))
         issue(children.get(op, ()))
 
-    def fire_chained(op):
-        if fifo["backlog"]:
-            time, seq, nxt = fifo["backlog"].pop(0)
-            sim.schedule_reserved(time, seq, fire_chained, nxt)
-        else:
-            fifo["on_heap"] = False
-        fire(op)
+    lane = sim.lane("fifo", fire)
 
     def issue(batch):
         for op in batch:
@@ -428,47 +421,213 @@ def _run_script(ops, parents, reserved):
                 continue
             end = max(fifo["tail"], sim.now) + delay
             fifo["tail"] = end
-            if not reserved:
-                sim.schedule(end - sim.now, fire, op)
-            elif fifo["on_heap"]:
-                fifo["backlog"].append((sim.now + (end - sim.now), sim.reserve_seq(), op))
+            if laned:
+                lane.push(end - sim.now, op)
             else:
-                fifo["on_heap"] = True
-                sim.schedule(end - sim.now, fire_chained, op)
+                sim.schedule(end - sim.now, fire, op)
 
     issue(children.get(-1, ()))
     sim.run()
+    assert len(lane) == 0
     return log, sim.events_executed
 
 
-class TestReservedKeys:
+class TestLaneKeys:
     @given(st.data())
     @settings(max_examples=80, deadline=None)
-    def test_reserved_fifo_pops_like_plain_schedule(self, data):
+    def test_lane_fifo_pops_like_plain_schedule(self, data):
         ops = data.draw(st.lists(
             st.tuples(st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.booleans()),
             min_size=1, max_size=40,
         ))
         parents = [data.draw(st.integers(-1, op - 1)) for op in range(len(ops))]
-        assert _run_script(ops, parents, reserved=True) == _run_script(
-            ops, parents, reserved=False
+        assert _run_script(ops, parents, laned=True) == _run_script(
+            ops, parents, laned=False
         )
 
-    def test_reserved_key_orders_against_later_schedules(self):
+    def test_lane_key_orders_against_later_schedules(self):
         sim = Simulator()
         log = []
-        seq = sim.reserve_seq()
-        sim.schedule(1.0, log.append, "scheduled after the reservation")
-        sim.schedule_reserved(1.0, seq, log.append, "reserved first")
+        lane = sim.lane("log", log.append)
+        lane.push(1.0, "head")
+        lane.push(1.0, "queued first")  # waits off the heap, key taken now
+        sim.schedule(1.0, log.append, "scheduled after the push")
+        assert sim.heap_depth == 2 and sim.pending_events == 3
         sim.run()
-        assert log == ["reserved first", "scheduled after the reservation"]
+        assert log == ["head", "queued first", "scheduled after the push"]
 
-    def test_schedule_reserved_rejects_the_past(self):
+    def test_lane_push_rejects_a_decreasing_key_and_the_past(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        lane = sim.lane("noop", lambda _: None)
+        lane.push(2.0, "head")
+        lane.push(2.0, "tie")  # equal times are fine: seq still grows
+        with pytest.raises(SimulationError):
+            lane.push(1.5, "earlier than the tail")
+        sim.schedule(3.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
-            sim.schedule_reserved(0.5, sim.reserve_seq(), lambda: None)
+            lane.push(-0.5, "in the past")
+        assert sim.pending_events == 0
+
+    def test_lane_checks_its_arity_and_key(self):
+        sim = Simulator()
+        lane = sim.lane("pair", lambda a, b: None, 2)
+        with pytest.raises(SimulationError):
+            lane.push(1.0, "only one")
+        assert len(lane) == 0 and sim.heap_depth == 0
+        assert sim.lane("pair", lane.callback, 2) is lane
+        with pytest.raises(SimulationError):
+            sim.lane("pair", lane.callback, 3)
+        with pytest.raises(SimulationError):
+            sim.lane("pair", print, 2)
+        with pytest.raises(SimulationError):
+            sim.lane("wide", print, 5)
+
+
+def _interleaved(ops, laned, drive):
+    """Run a random interleaving of every way to schedule; return what fired.
+
+    ``ops[i] = (parent, kind, arg, delay)``: op ``i`` is issued at t=0
+    when ``parent == -1``, else the first time op ``parent`` fires.
+    Kinds: ``plain`` (``schedule``), ``handle`` (``schedule_cancellable``),
+    ``rearm`` / ``cancel`` (``reschedule`` / ``cancel`` the handle of op
+    ``arg``, if it was issued) and ``lane`` (a push onto lane ``arg``,
+    ``delay`` after that lane's previous push or now, whichever is
+    later, so its keys never decrease). Times are multiples of 0.5, so
+    they tie exactly across lanes and against plain events. Without
+    ``laned`` every lane push is a plain ``schedule`` call instead.
+    ``drive(sim)`` runs the simulator and returns its own observations.
+    """
+    sim = Simulator()
+    log = []
+    children = {}
+    for op, (parent, *_rest) in enumerate(ops):
+        children.setdefault(parent, []).append(op)
+    handles = {}
+    tails = {}
+    done = set()
+
+    def fire(op):
+        log.append((sim.now, op))
+        if op not in done:
+            done.add(op)
+            issue(children.get(op, ()))
+
+    lanes = {k: sim.lane(k, fire) for k in range(3)}
+
+    def issue(batch):
+        for op in batch:
+            _parent, kind, arg, delay = ops[op]
+            if kind == "plain":
+                sim.schedule(delay, fire, op)
+            elif kind == "handle":
+                handles[op] = sim.schedule_cancellable(delay, fire, op)
+            elif kind == "rearm":
+                if arg in handles:
+                    handles[arg] = sim.reschedule(handles[arg], delay)
+            elif kind == "cancel":
+                if arg in handles:
+                    handles[arg].cancel()
+            else:
+                end = max(tails.get(arg, 0.0), sim.now) + delay
+                tails[arg] = end
+                if laned:
+                    lanes[arg].push(end - sim.now, op)
+                else:
+                    sim.schedule(end - sim.now, fire, op)
+
+    issue(children.get(-1, ()))
+    seen = drive(sim)
+    assert all(len(lane) == 0 for lane in lanes.values())
+    assert sim.pending_events == 0 and sim.heap_depth == 0
+    return log, sim.now, sim.events_executed, seen
+
+
+def _drive_run(sim):
+    sim.run()
+    return None
+
+
+def _drive_step(sim):
+    steps = 0
+    while sim.step():
+        steps += 1
+    return steps
+
+
+def _sliced(slices):
+    def drive(sim):
+        seen = []
+        for until in slices:
+            sim.run(until=until)
+            seen.append((sim.now, sim.pending_events, sim.events_executed))
+        sim.run()
+        return seen
+
+    return drive
+
+
+_INTERLEAVED_OP = st.tuples(
+    st.sampled_from(["plain", "handle", "rearm", "cancel", "lane", "lane", "lane"]),
+    st.integers(0, 2),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+
+
+class TestLaneInterleavings:
+    """Lanes fire exactly as plain ``schedule`` calls would, however mixed."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_lanes_fire_like_plain_schedule(self, data):
+        body = data.draw(st.lists(_INTERLEAVED_OP, min_size=1, max_size=40))
+        ops = []
+        for i, (kind, arg, delay) in enumerate(body):
+            parent = data.draw(st.integers(-1, i - 1))
+            if kind in ("rearm", "cancel"):
+                arg = data.draw(st.integers(0, i)) if i else 0
+            ops.append((parent, kind, arg, delay))
+        slices = sorted(data.draw(st.lists(
+            st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.5]), max_size=4)))
+        reference = _interleaved(ops, laned=False, drive=_drive_run)
+        assert _interleaved(ops, laned=True, drive=_drive_run) == reference
+        log, now, executed, _ = reference
+        assert _interleaved(ops, laned=True, drive=_drive_step) == (
+            log, now, executed, executed)
+        sliced = _interleaved(ops, laned=True, drive=_sliced(slices))
+        assert sliced == _interleaved(ops, laned=False, drive=_sliced(slices))
+        assert sliced[:3] == (log, max([now] + slices), executed)
+
+    def test_pending_counts_lane_entries_and_heap_depth_does_not(self):
+        sim = Simulator()
+        log = []
+        beacons = sim.lane("beacons", log.append)
+        for name in "abcd":
+            beacons.push(0.5, name)
+        sim.schedule(0.5, log.append, "plain")
+        assert len(beacons) == 4
+        assert sim.pending_events == 5 and sim.heap_depth == 2
+        sim.run(until=0.5)
+        assert log == ["a", "b", "c", "d", "plain"]
+        assert len(beacons) == 0 and sim.pending_events == 0 and sim.heap_depth == 0
+
+
+def _lane_routes(kinds, times):
+    """Map each ``lane`` entry to a lane whose keys it keeps non-decreasing.
+
+    Entry ``i`` goes to the first lane whose last time is not later
+    than ``times[i]``, or to a new lane.
+    """
+    tails = []
+    routes = {}
+    for i, (kind, time) in enumerate(zip(kinds, times)):
+        if kind == "lane":
+            lane = next((k for k, tail in enumerate(tails) if tail <= time), len(tails))
+            if lane == len(tails):
+                tails.append(time)
+            tails[lane] = time
+            routes[i] = lane
+    return routes
 
 
 def _mixed_script(kinds, times, new_times, cancels, until):
@@ -476,26 +635,24 @@ def _mixed_script(kinds, times, new_times, cancels, until):
 
     Kinds: ``plain`` (``schedule``), ``handle`` (``schedule_cancellable``),
     ``rearm`` (``schedule_cancellable``, then moved to ``new_times[i]``
-    with ``reschedule`` once every entry is pushed) and ``reserved`` (key
-    taken with ``reserve_seq``, pushed with ``schedule_reserved`` after
-    every other entry, in reverse). Handles are cancelled before the run
-    when ``cancels[i]``, re-armed ones after their re-arm. Each entry
-    takes one sequence number, so entry ``i`` has heap key
-    ``(times[i], i)``; the ``k``-th re-arm draws sequence ``n + k``.
+    with ``reschedule`` once every entry is pushed) and ``lane`` (pushed
+    onto the first lane whose last time is not later, a new lane if none
+    is). Handles are cancelled before the run when ``cancels[i]``,
+    re-armed ones after their re-arm. Each entry takes one sequence
+    number, so entry ``i`` has heap key ``(times[i], i)``; the ``k``-th
+    re-arm draws sequence ``n + k``.
     """
     sim = Simulator()
     fired = []
     handles = {}
-    reserved = []
+    lanes = _lane_routes(kinds, times)
     for i, (kind, time) in enumerate(zip(kinds, times)):
         if kind == "plain":
             sim.schedule(time, fired.append, i)
         elif kind in ("handle", "rearm"):
             handles[i] = sim.schedule_cancellable(time, fired.append, i)
         else:
-            reserved.append((time, sim.reserve_seq(), i))
-    for time, seq, i in reversed(reserved):
-        sim.schedule_reserved(time, seq, fired.append, i)
+            sim.lane(lanes[i], fired.append).push(time, i)
     for i, handle in handles.items():
         if kinds[i] == "rearm":
             handles[i] = sim.reschedule(handle, new_times[i])
@@ -514,7 +671,8 @@ def _expected(kinds, times, new_times, cancels, until):
     stops at the first live entry past it, after sweeping the
     tombstones ahead of that entry; with no such entry the heap drains.
 
-    The heap depth after the stop counts physical entries. A re-arm to
+    The heap depth after the stop counts physical entries: a lane has
+    its earliest unfired entry on the heap, the rest wait off it. A re-arm to
     an earlier time leaves a tombstone at the old key; a later one
     keeps a single entry, which moves to the new key only when it
     reaches the top of the heap — that is, when its old time is within
@@ -531,8 +689,14 @@ def _expected(kinds, times, new_times, cancels, until):
     fired = [entry[k] for k in live if k[0] <= limit]
     beyond = [k for k in live if k[0] > limit]
     physical = []  # (key, is_live)
+    lanes = _lane_routes(kinds, times)
+    pushed = {}  # lane → keys pushed on it, in push order
+    for i, lane in lanes.items():
+        pushed.setdefault(lane, []).append(key[i])
     for i in range(n):
         dead = kinds[i] in cancellable and cancels[i]
+        if kinds[i] == "lane":
+            continue
         if kinds[i] != "rearm":
             physical.append((key[i], not dead))
         elif new_times[i] < times[i]:
@@ -541,6 +705,10 @@ def _expected(kinds, times, new_times, cancels, until):
             physical.append(((times[i], i), not dead))
         else:
             physical.append((key[i], True))
+    for keys in pushed.values():
+        heads = [k for k in keys if k[0] > limit]
+        if heads:
+            physical.append((heads[0], True))
     stop = min((k for k, alive in physical if alive and k[0] > limit), default=None)
     depth = len([k for k, _ in physical if k >= stop]) if stop is not None else 0
     return fired, len(beyond), depth, max((key[i][0] for i in fired), default=0.0)
@@ -549,10 +717,10 @@ def _expected(kinds, times, new_times, cancels, until):
 class TestMixedEntries:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_plain_cancellable_and_reserved_entries(self, data):
+    def test_plain_cancellable_and_lane_entries(self, data):
         n = data.draw(st.integers(0, 30))
         kinds = data.draw(st.lists(
-            st.sampled_from(["plain", "handle", "rearm", "reserved"]), min_size=n, max_size=n))
+            st.sampled_from(["plain", "handle", "rearm", "lane"]), min_size=n, max_size=n))
         times = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]), min_size=n, max_size=n))
         new_times = data.draw(
             st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 3.5]), min_size=n, max_size=n))
@@ -574,7 +742,7 @@ class TestMixedEntries:
         # cancelling a pending one takes it out of the count.
         for handle in handles.values():
             handle.cancel()
-        rest = [i for i in range(n) if kinds[i] in ("plain", "reserved") and times[i] > limit]
+        rest = [i for i in range(n) if kinds[i] in ("plain", "lane") and times[i] > limit]
         assert sim.pending_events == len(rest)
         sim.run()
         assert fired == order + sorted(rest, key=lambda i: (times[i], i))
