@@ -12,7 +12,8 @@ buffering that virtualized Wi-Fi clients exploit:
   a PS-Poll or clears the bit (this is the "falsely claiming to enter
   power-save mode" mechanism of Sec. 2);
 - uplink forwarding: payloads of data frames addressed to the AP are
-  handed to ``on_uplink`` (wired side: DHCP server, backhaul router).
+  handed to ``on_uplink`` (wired side: DHCP server, backhaul router),
+  which ``on_first_client`` may wire on the AP's first client frame.
 """
 
 from __future__ import annotations
@@ -34,9 +35,12 @@ from repro.world.geometry import Point
 from repro.world.mobility import StaticMobility
 
 
-@dataclass
+@dataclass(frozen=True)
 class ApConfig:
     """Responsiveness profile of one AP.
+
+    Frozen, so one instance (``DEFAULT_AP_CONFIG`` unless a caller
+    passes its own) serves many APs.
 
     ``beta_min``/``beta_max`` bound the AP-side processing delay of the
     join steps, matching the analytical model's uniform join-response
@@ -56,6 +60,9 @@ class ApConfig:
     psm_buffer_frames: int = 50
     client_timeout: float = 60.0
 
+
+#: The profile of every AP built without one.
+DEFAULT_AP_CONFIG = ApConfig()
 
 #: Read-only stand-ins for the per-client containers of an AP that no
 #: client has spoken to yet. Every such AP shares them; the first
@@ -96,7 +103,7 @@ class AccessPoint:
         self.sim = sim
         self.name = name
         self.channel = channel
-        self.config = config or ApConfig()
+        self.config = config or DEFAULT_AP_CONFIG
         if rng is None:
             # Fallback seed must not use hash(): str hashing is salted per
             # process, so worker-pool runs would disagree with inline runs.
@@ -116,6 +123,10 @@ class AccessPoint:
         self._parked: Set[str] = _NO_CLIENTS
         self._last_heard: Dict[str, float] = _NO_ENTRIES
         self.on_uplink: Optional[Callable[[str, object], None]] = None
+        #: Called with the AP's name just before its first client frame
+        #: is handled, so the wired side can be built on demand and set
+        #: ``on_uplink``. A world gives every AP the same callable.
+        self.on_first_client: Optional[Callable[[str], object]] = None
         self.on_associated: Optional[Callable[[str], None]] = None
         self.psm_drops = 0
         #: Between ``start()`` and ``stop()``.
@@ -131,6 +142,8 @@ class AccessPoint:
 
     def _admit_clients(self) -> None:
         """Give this AP its own per-client containers (first client frame)."""
+        if self.on_first_client is not None:
+            self.on_first_client(self.name)
         self.authenticated = set()
         self.associated = set()
         self._psm_mode = set()

@@ -2,10 +2,11 @@
 
 This is the single place in the codebase where a simulated world is
 assembled: simulator, RNG streams, medium, mobility, AP deployment,
-and — per AP — a DHCP server, a backhaul shaper, and a router, plus a
-``router_lookup`` that lets drivers build TCP flows through whichever
-AP they join. Experiments and the CLI both come through here, so a
-spec means the same world everywhere.
+and — per AP, on its first client frame or router lookup — a DHCP
+server, a backhaul shaper, and a router, plus a ``router_lookup`` that
+lets drivers build TCP flows through whichever AP they join.
+Experiments and the CLI both come through here, so a spec means the
+same world everywhere.
 
 Determinism contract (the identity harness in
 ``tests/test_scenario_identity.py`` pins this): construction order and
@@ -21,7 +22,7 @@ result.
 from __future__ import annotations
 
 import gc
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import SpiderConfig
 from repro.core.fatvap import FatVapConfig, FatVapDriver
@@ -82,7 +83,14 @@ class World:
         self.medium = Medium(self.sim, propagation, self.streams)
         self.wired_latency = wired_latency
         self.aps: Dict[str, AccessPoint] = {}
+        #: The routers wired so far; ``router(name)`` wires the rest.
         self.routers: Dict[str, ApRouter] = {}
+        #: ``(backhaul_bps, beta_min, beta_max, wired_latency)`` of each
+        #: AP whose wired side is not built yet, popped when it is.
+        self._unwired: Dict[str, Tuple[float, float, float, float]] = {}
+        #: ``router`` bound once: every AP's ``on_first_client`` is this
+        #: one object, not a callable of its own.
+        self._wire_on_first_client = self.router
         #: Per-region mediums + edge handoff; ``None`` until the spec's
         #: ``[[partitions]]`` are enabled (legacy worlds stay on the
         #: single shared ``medium``).
@@ -141,7 +149,13 @@ class World:
         wired_latency: Optional[float] = None,
         ap_config: Optional[ApConfig] = None,
     ) -> AccessPoint:
-        """Wire one AP: radio + DHCP server + shaped backhaul + router.
+        """Add one AP: its radio now, its wired side on first use.
+
+        The DHCP server, shaped backhaul and router are built by
+        :meth:`router` — on the AP's first client frame, a driver's
+        ``router_lookup``, or failure injection — from the parameters
+        kept here. An AP that only ever hears beacons never pays for
+        them.
 
         The AP and its DHCP server share the ``ap:{name}`` RNG stream —
         one stream per AP keeps per-AP behaviour independent of how
@@ -151,6 +165,8 @@ class World:
         """
         if name in self.aps:
             raise BuildError(f"duplicate AP name {name!r}")
+        if not backhaul_bps > 0:
+            raise BuildError(f"AP {name!r}: backhaul_bps must be positive")
         if wired_latency is None:
             wired_latency = self.wired_latency
         rng = self.streams.parked(f"ap:{name}")
@@ -160,21 +176,41 @@ class World:
             name,
             channel,
             position,
-            config=ap_config or ApConfig(),
+            config=ap_config,
             rng=rng,
         )
-        dhcp = DhcpServer(
-            self.sim,
-            name,
-            config=DhcpServerConfig(beta_min=beta_min, beta_max=beta_max),
-            rng=rng,
-        )
-        backhaul = WiredBackhaul(self.sim, backhaul_bps, latency_s=wired_latency)
-        self.routers[name] = ApRouter(self.sim, ap, backhaul, dhcp)
+        ap.on_first_client = self._wire_on_first_client
+        self._unwired[name] = (backhaul_bps, beta_min, beta_max, wired_latency)
         self.aps[name] = ap
         ap.start()
         rng.park()
         return ap
+
+    def router(self, name: str) -> Optional[ApRouter]:
+        """The router of AP ``name``, wiring its wired side on first use.
+
+        The first call builds the AP's DHCP server (on the AP's own
+        ``ap:{name}`` stream), backhaul and router; later calls return
+        the same router. None of these constructors schedules an event
+        or draws a number, so when this runs changes no result. ``None``
+        for a name the world has no AP for.
+        """
+        router = self.routers.get(name)
+        if router is not None:
+            return router
+        params = self._unwired.pop(name, None)
+        if params is None:
+            return None
+        backhaul_bps, beta_min, beta_max, wired_latency = params
+        dhcp = DhcpServer(
+            self.sim,
+            name,
+            config=DhcpServerConfig(beta_min=beta_min, beta_max=beta_max),
+            rng=self.streams.parked(f"ap:{name}"),
+        )
+        backhaul = WiredBackhaul(self.sim, backhaul_bps, latency_s=wired_latency)
+        router = self.routers[name] = ApRouter(self.sim, self.aps[name], backhaul, dhcp)
+        return router
 
     def add_lab_ap(
         self,
@@ -255,7 +291,7 @@ class World:
             )
 
     def router_lookup(self) -> Callable[[str], Optional[ApRouter]]:
-        return lambda name: self.routers.get(name)
+        return self.router
 
     def static_mobility(self) -> StaticMobility:
         position = self.client_position if self.client_position is not None else Point(0.0, 0.0)
@@ -530,7 +566,7 @@ def _ap_outage(world: World, name: str) -> None:
 
 def _dhcp_wedge(world: World, name: str) -> None:
     """The AP's DHCP daemon hangs: it receives but never answers."""
-    world.routers[name].dhcp_server.send = lambda client, message: None
+    world.router(name).dhcp_server.send = lambda client, message: None
 
 
 # -- driver-config construction ---------------------------------------------

@@ -293,6 +293,13 @@ class ScenarioSpec:
             if ap.name in seen:
                 raise SpecError(f"duplicate AP name {ap.name!r}")
             seen.add(ap.name)
+            if not ap.backhaul_bps > 0:
+                raise SpecError(f"AP {ap.name!r}: backhaul_bps must be positive")
+            if not 0 <= ap.beta_min <= ap.beta_max:
+                raise SpecError(
+                    f"AP {ap.name!r}: need 0 <= beta_min <= beta_max "
+                    f"(got {ap.beta_min}, {ap.beta_max})"
+                )
         return self
 
     # -- serialization ---------------------------------------------------

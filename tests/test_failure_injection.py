@@ -29,7 +29,7 @@ def test_ap_dying_mid_connection_is_reaped_and_flow_stops():
 def test_dhcp_server_silent_never_connects_but_does_not_crash():
     lab = LabScenario(seed=72)
     ap = lab.add_lab_ap("a", 1, 2e6)
-    lab.routers["a"].dhcp_server.send = lambda c, m: None  # daemon wedged
+    lab.router("a").dhcp_server.send = lambda c, m: None  # daemon wedged
     spider = lab.make_spider(SpiderConfig.single_channel_multi_ap(1, **REDUCED))
     spider.start()
     lab.sim.run(until=30.0)
@@ -42,7 +42,7 @@ def test_dhcp_server_silent_never_connects_but_does_not_crash():
 def test_dhcp_pool_exhaustion_blocks_new_clients():
     lab = LabScenario(seed=73)
     lab.add_lab_ap("a", 1, 2e6)
-    lab.routers["a"].dhcp_server.config = DhcpServerConfig(
+    lab.router("a").dhcp_server.config = DhcpServerConfig(
         beta_min=0.1, beta_max=0.2, pool_size=0
     )
     spider = lab.make_spider(SpiderConfig.single_channel_multi_ap(1, **REDUCED))
@@ -79,10 +79,10 @@ def test_extreme_loss_environment_no_crash():
 def test_backhaul_congestion_drops_recovered_by_tcp():
     lab = LabScenario(seed=76)
     lab.add_lab_ap("a", 1, 1e6)
-    lab.routers["a"].backhaul.shaper.queue_limit_bytes = 8_000  # ~5 segments
+    lab.router("a").backhaul.shaper.queue_limit_bytes = 8_000  # ~5 segments
     spider = lab.make_spider(SpiderConfig.single_channel_multi_ap(1, **REDUCED))
     result = lab.run(spider, 30.0)
-    assert lab.routers["a"].backhaul.shaper.dropped > 0
+    assert lab.router("a").backhaul.shaper.dropped > 0
     # TCP still makes sustained progress despite the shallow buffer
     # (125 KB/s is the shaped ceiling; the sawtooth lands well below).
     assert result.throughput_kbytes_per_s > 25.0

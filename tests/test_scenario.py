@@ -10,7 +10,10 @@ import pytest
 from repro.exec.cache import canonical_text
 from repro.exec.shards import Shard
 from repro.exec.workers import ExecPolicy, execute_shards
-from repro.mac.ap import _NO_CLIENTS, _NO_ENTRIES
+from repro.mac import frames
+from repro.mac.ap import _NO_CLIENTS, _NO_ENTRIES, DEFAULT_AP_CONFIG
+from repro.net.backhaul import ApRouter, WiredBackhaul
+from repro.net.dhcp import DhcpServer
 from repro.scenario import (
     ApSpec,
     BuildError,
@@ -177,6 +180,23 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="duplicate AP name"):
             lab_spec().with_deployment(aps=aps).validated()
 
+    @pytest.mark.parametrize("backhaul_bps", [0.0, -1e6, float("nan")])
+    def test_ap_backhaul_must_be_positive(self, backhaul_bps):
+        aps = (ApSpec(name="ap0", channel=1, backhaul_bps=backhaul_bps),)
+        with pytest.raises(SpecError, match="'ap0': backhaul_bps must be positive"):
+            lab_spec().with_deployment(aps=aps).validated()
+
+    @pytest.mark.parametrize("beta_min, beta_max", [(3.0, -1.0), (-0.5, 1.0), (2.0, 1.0)])
+    def test_ap_beta_bounds_ordered_and_non_negative(self, beta_min, beta_max):
+        aps = (ApSpec(name="ap0", channel=1, backhaul_bps=1e6,
+                      beta_min=beta_min, beta_max=beta_max),)
+        with pytest.raises(SpecError, match="'ap0': need 0 <= beta_min <= beta_max"):
+            lab_spec().with_deployment(aps=aps).validated()
+
+    def test_ap_equal_beta_bounds_are_valid(self):
+        aps = (ApSpec(name="ap0", channel=1, backhaul_bps=1e6, beta_min=0.0, beta_max=0.0),)
+        lab_spec().with_deployment(aps=aps).validated()
+
     def test_bad_driver_count(self):
         spec = lab_spec()
         bad = DriverSpec(kind="spider", count=0)
@@ -304,6 +324,96 @@ class TestColdApFootprint:
         assert joined and joined <= warm < set(world.aps)
         for name in set(world.aps) - warm:
             assert world.streams.parked(f"ap:{name}")._live is None
+
+
+class TestLazyWiring:
+    """An AP's DHCP server, backhaul and router are built on the AP's
+    first client frame, a router lookup, or failure injection."""
+
+    WIRED = (DhcpServer, WiredBackhaul, ApRouter)
+
+    def wired_objects(self, world):
+        return [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, self.WIRED) and obj.sim is world.sim
+        ]
+
+    def probe(self, ap):
+        """Hand the AP a client's broadcast probe request."""
+        ap._on_frame(
+            frames.mgmt_frame(frames.FrameType.PROBE_REQUEST, "probe", frames.BROADCAST)
+        )
+
+    def test_built_world_has_no_wired_side(self):
+        world = build(scenario("metro-core-small"))
+        assert world.aps and world.routers == {}
+        assert self.wired_objects(world) == []
+        assert all(ap.on_uplink is None for ap in world.aps.values())
+
+    def test_first_client_frame_wires_exactly_one_router(self):
+        world = build(scenario("metro-core-small"))
+        name = sorted(world.aps)[0]
+        ap = world.aps[name]
+        self.probe(ap)
+        router = world.routers[name]
+        assert list(world.routers) == [name]
+        assert ap.on_uplink == router._on_uplink
+        assert router.dhcp_server.send == router._send_dhcp_reply
+        assert router.dhcp_server._rng is world.streams.parked(f"ap:{name}")
+        # Later frames, lookups and hook calls find the same router.
+        self.probe(ap)
+        ap.on_first_client(name)
+        assert world.router(name) is router
+        assert world.router_lookup()(name) is router
+        assert sum(isinstance(obj, ApRouter) for obj in self.wired_objects(world)) == 1
+        assert len(self.wired_objects(world)) == 3
+
+    def test_router_lookup_wires_on_demand(self):
+        world = build(scenario("metro-core-small"))
+        name = sorted(world.aps)[-1]
+        router = world.router_lookup()(name)
+        assert router is not None and router.ap is world.aps[name]
+        assert list(world.routers) == [name]
+        # The AP's first client frame then finds it wired.
+        self.probe(world.aps[name])
+        assert world.router(name) is router
+        assert len(self.wired_objects(world)) == 3
+        assert world.router("ghost") is None
+
+    def test_every_ap_shares_one_wiring_hook_and_config(self):
+        world = build(scenario("metro-core-small"))
+        assert len({id(ap.on_first_client) for ap in world.aps.values()}) == 1
+        assert all(ap.config is DEFAULT_AP_CONFIG for ap in world.aps.values())
+        with pytest.raises(AttributeError):
+            DEFAULT_AP_CONFIG.beacon_interval = 1.0  # frozen: sharing cannot leak
+
+    def test_only_aps_a_client_reached_are_wired(self):
+        spec = scenario("metro-core-small")
+        world = build(spec)
+        for driver in make_fleet(world, spec):
+            driver.start()
+        world.sim.run(until=5.0)
+        reached = {name for name, ap in world.aps.items() if ap._last_heard is not _NO_ENTRIES}
+        assert reached and set(world.routers) == reached < set(world.aps)
+
+    def test_dhcp_wedge_wedges_an_ap_a_client_frame_wired(self):
+        spec = lab_spec().with_overrides(
+            failures=(FailureSpec(kind="dhcp-wedge", ap="ap0", at=0.0),)
+        )
+        world = build(spec)
+        self.probe(world.aps["ap0"])
+        router = world.routers["ap0"]
+        (client,) = make_fleet(world, spec)
+        result = world.run(client, spec.duration)
+        assert world.router("ap0") is router
+        assert router.dhcp_server.offers_made > 0  # it heard the client...
+        assert result.join_successes == 0  # ...and never answered
+
+    def test_add_ap_rejects_a_non_positive_backhaul_at_once(self):
+        world = build(lab_spec())
+        with pytest.raises(BuildError, match="backhaul_bps must be positive"):
+            world.add_lab_ap("ap1", 1, 0.0)
+        assert "ap1" not in world.aps
 
 
 class TestBuildAndRun:
@@ -476,6 +586,25 @@ class TestCli:
         assert self.run_cli(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"unknown PhySpec field(s): {field}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "good, bad, message",
+        [
+            ("backhaul_bps = 4000000.0", "backhaul_bps = 0.0",
+             "AP 'ap0': backhaul_bps must be positive"),
+            ("beta_min = 0.2\nbeta_max = 1.0", "beta_min = 3.0\nbeta_max = -1.0",
+             "AP 'ap0': need 0 <= beta_min <= beta_max"),
+        ],
+    )
+    def test_malformed_explicit_ap_exit_2(self, tmp_path, capsys, good, bad, message):
+        text = lab_spec(duration=20.0).to_toml()
+        assert good in text
+        path = tmp_path / "bad-ap.toml"
+        path.write_text(text.replace(good, bad))
+        assert self.run_cli(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
         assert "Traceback" not in err
 
     def test_bad_seeds_exit_2(self, capsys):
