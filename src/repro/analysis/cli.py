@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import List, Optional, Set
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.cache import FactsCache
 from repro.analysis.config import LintConfig, find_pyproject, load_config
 from repro.analysis.core import RULES
 from repro.analysis.engine import LintRun, iter_python_files, lint_paths, load_plugins
@@ -85,15 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         "project-scope rules see the full graph",
     )
     parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        default=None,
-        help="facts-cache location (default: [tool.simlint] cache-path under the repo root)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the incremental facts cache"
-    )
-    parser.add_argument(
         "--select",
         action="append",
         default=[],
@@ -136,7 +126,7 @@ def changed_files(root: Path, ref: str) -> Set[Path]:
     return {(toplevel / name).resolve() for name in names if name.strip()}
 
 
-def _report_text(run: LintRun, cache_used: bool, stale_shown: int = 5) -> None:
+def _report_text(run: LintRun, stale_shown: int = 5) -> None:
     for finding in run.findings:
         print(finding.format())
     parts = [
@@ -150,8 +140,6 @@ def _report_text(run: LintRun, cache_used: bool, stale_shown: int = 5) -> None:
         parts.append(f"{len(run.baselined)} baselined")
     if run.stale_baseline:
         parts.append(f"{len(run.stale_baseline)} stale baseline entries")
-    if cache_used:
-        parts.append(f"cache {run.cache_hits} hits / {run.cache_misses} misses")
     print(f"simlint: {', '.join(parts)}")
     for rule, path, _key in run.stale_baseline[:stale_shown]:
         print(f"  stale baseline entry: {rule} in {path} no longer matches"
@@ -170,8 +158,6 @@ def _report_json(run: LintRun) -> None:
                     "warnings": run.warnings,
                     "suppressed": len(run.suppressed),
                     "baselined": len(run.baselined),
-                    "cache_hits": run.cache_hits,
-                    "cache_misses": run.cache_misses,
                     "stale_baseline": [
                         {"rule": rule, "path": path, "key": key}
                         for rule, path, key in run.stale_baseline
@@ -234,11 +220,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"simlint: bad baseline {baseline_path}: {error}", file=sys.stderr)
             return 2
 
-    cache: Optional[FactsCache] = None
-    if not args.no_cache:
-        cache_path = Path(args.cache) if args.cache else root / config.cache_path
-        cache = FactsCache(cache_path)
-
     try:
         run = lint_paths(
             paths,
@@ -247,7 +228,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             select=_split_rules(args.select),
             ignore=_split_rules(args.ignore),
             root=root,
-            cache=cache,
         )
     except (KeyError, ImportError) as error:
         print(f"simlint: {error}", file=sys.stderr)
@@ -273,7 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.format == "json":
         _report_json(run)
     else:
-        _report_text(run, cache_used=cache is not None)
+        _report_text(run)
 
     if run.findings:
         return 1

@@ -74,20 +74,12 @@ class LintConfig:
     #: Packages where trace/span emission must sit behind an
     #: ``is not None`` guard (SL009).
     hotpath_packages: Tuple[str, ...] = DEFAULT_HOTPATH_PACKAGES
-    #: The one package allowed to touch process/socket primitives
-    #: (SL010); everything else goes through the ExecutionBackend ABC.
-    backend_package: str = "repro.exec.backend"
-    #: Dotted-module globs exempt from SL010 for non-placement reasons
-    #: (e.g. shelling out to ``git`` for provenance).
-    backend_allow: Tuple[str, ...] = ()
     #: Architecture layers, lowest first (SL012). Empty disables the rule.
     layers: Tuple[str, ...] = ()
     #: Sanctioned cross-layer interfaces: ``"src-prefix -> dst-prefix"``.
     layer_allow: Tuple[str, ...] = ()
     #: Sim hot entry points for SL011 (globs over qualified names).
     hot_entrypoints: Tuple[str, ...] = DEFAULT_HOT_ENTRYPOINTS
-    #: Facts-cache path, relative to the config root.
-    cache_path: str = ".spider-cache/simlint-cache.json"
     #: Default baseline path, relative to the config file's directory.
     baseline: str = "simlint-baseline.json"
     #: Plugin modules imported for their rule-registration side effect.
@@ -108,16 +100,6 @@ class LintConfig:
         return any(
             module == prefix or module.startswith(prefix + ".") for prefix in self.sim_scope
         )
-
-    def fingerprint(self) -> str:
-        """Stable text of every policy knob; part of the facts-cache key
-        (``root`` is where the config lives, not what it says)."""
-        values = {
-            name: getattr(self, name)
-            for name in sorted(self.__dataclass_fields__)
-            if name != "root"
-        }
-        return repr(values)
 
 
 def _tuple(raw: object, what: str) -> Tuple[str, ...]:
@@ -143,12 +125,9 @@ _KEYS = {
     "registry-module": ("registry_module", _string),
     "scenario-package": ("scenario_package", _string),
     "hotpath-packages": ("hotpath_packages", _tuple),
-    "backend-package": ("backend_package", _string),
-    "backend-allow": ("backend_allow", _tuple),
     "layers": ("layers", _tuple),
     "layer-allow": ("layer_allow", _tuple),
     "hot-entrypoints": ("hot_entrypoints", _tuple),
-    "cache-path": ("cache_path", _string),
     "baseline": ("baseline", _string),
     "plugins": ("plugins", _tuple),
     "select": ("select", _tuple),

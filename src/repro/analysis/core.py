@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set,
 from repro.analysis.config import LintConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.analysis.graph import ModuleFacts, ProjectGraph
+    from repro.analysis.graph import ProjectGraph
 
 
 class Severity(enum.Enum):
@@ -104,22 +104,6 @@ class Finding:
             data["related"] = [loc.to_dict() for loc in self.related]
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Finding":
-        related = tuple(
-            RelatedLocation(str(r["path"]), int(r["line"]), str(r["message"]))  # type: ignore[index]
-            for r in data.get("related", ())  # type: ignore[union-attr]
-        )
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            rule=str(data["rule"]),
-            severity=str(data["severity"]),
-            message=str(data["message"]),
-            related=related,
-        )
-
 
 _SUPPRESS_RE = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9_,\- ]+|all)")
 _SUPPRESS_FILE_RE = re.compile(r"#\s*simlint:\s*disable-file=([A-Za-z0-9_,\- ]+|all)")
@@ -146,24 +130,14 @@ class ModuleUnit:
     parse_error: Optional[SyntaxError] = None
     line_suppressions: Dict[int, Set[str]] = field(default_factory=dict)
     file_suppressions: Set[str] = field(default_factory=set)
-    #: True once a parse was attempted (lazy units defer it until a
-    #: rule actually needs the tree — see :meth:`ensure_tree`).
-    parsed: bool = False
-    #: Pre-extracted cross-module facts (set by the engine; from the
-    #: facts cache on a warm run, from the AST otherwise).
-    facts: Optional["ModuleFacts"] = None
 
     @classmethod
-    def from_source(
-        cls,
-        path: str,
-        source: str,
-        module: Optional[str] = None,
-        parse: bool = True,
-    ) -> "ModuleUnit":
+    def from_source(cls, path: str, source: str, module: Optional[str] = None) -> "ModuleUnit":
         unit = cls(path=path, source=source, module=module)
-        if parse:
-            unit.ensure_tree()
+        try:
+            unit.tree = ast.parse(source, filename=path)
+        except SyntaxError as error:
+            unit.parse_error = error
         for lineno, text in enumerate(source.splitlines(), start=1):
             match = _SUPPRESS_RE.search(text)
             if match:
@@ -172,16 +146,6 @@ class ModuleUnit:
             if match:
                 unit.file_suppressions |= _parse_rule_list(match.group(1))
         return unit
-
-    def ensure_tree(self) -> Optional[ast.Module]:
-        """Parse on first use; cache-hit units skip the parse until then."""
-        if not self.parsed:
-            self.parsed = True
-            try:
-                self.tree = ast.parse(self.source, filename=self.path)
-            except SyntaxError as error:
-                self.parse_error = error
-        return self.tree
 
     @property
     def is_package_init(self) -> bool:
@@ -224,11 +188,7 @@ class ProjectContext:
 
     @property
     def graph(self) -> "ProjectGraph":
-        """The project-wide import/symbol/call graph, built on first use.
-
-        Units carrying pre-extracted facts (warm cache) contribute them
-        directly; everything else is parsed and extracted here.
-        """
+        """The project-wide import/symbol/call graph, built on first use."""
         if self._graph is None:
             from repro.analysis.graph import build_graph
 
@@ -249,9 +209,6 @@ class Rule:
     severity: Severity = Severity.ERROR
     description: str = ""
     scope: str = "module"
-    #: Bumped when the rule's semantics change; part of the facts-cache
-    #: key, so stale cached findings can never survive a rule upgrade.
-    version: int = 1
 
     def check(self, unit: ModuleUnit, project: ProjectContext) -> Iterator[Finding]:
         raise NotImplementedError

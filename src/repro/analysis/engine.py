@@ -2,20 +2,14 @@
 
 Pipeline per run:
 
-1. collect ``*.py`` files under the requested paths (skipping hidden
-   directories and caches) into :class:`~repro.analysis.core.ModuleUnit`
-   records — *lazily*: a unit is only parsed when something needs its
-   AST;
-2. with a :class:`~repro.analysis.cache.FactsCache`, look up each
-   unit's cross-module facts and module-scope findings by content
-   digest; warm units are never re-parsed;
-3. build the :class:`~repro.analysis.core.ProjectContext` (trace
-   taxonomy — from cached facts when the taxonomy module is warm);
-4. run every module-scope rule on each cold unit (cache misses run
-   *all* module rules so the cached result is selection-independent),
-   then filter to the active selection; project-scope rules always
-   re-run over the full (warm) project graph;
-5. route each finding: inline-suppressed → counted, baselined →
+1. collect and parse ``*.py`` files under the requested paths
+   (skipping hidden directories and caches) into
+   :class:`~repro.analysis.core.ModuleUnit` records;
+2. build the :class:`~repro.analysis.core.ProjectContext` (trace
+   taxonomy);
+3. run the active module-scope rules on each unit, then the active
+   project-scope rules over the full project graph;
+4. route each finding: inline-suppressed → counted, baselined →
    counted (and its baseline entry consumed), otherwise actionable.
 
 Unparseable files are reported through the same pipeline as rule
@@ -25,14 +19,12 @@ Unparseable files are reported through the same pipeline as rule
 from __future__ import annotations
 
 import importlib
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import repro.analysis.rules  # noqa: F401  (registers the built-in rules)
 from repro.analysis.baseline import Baseline
-from repro.analysis.cache import FactsCache, content_digest, ruleset_digest
 from repro.analysis.config import LintConfig
 from repro.analysis.core import (
     RULES,
@@ -44,10 +36,7 @@ from repro.analysis.core import (
     register_rule,
     resolve_rule_ids,
 )
-from repro.analysis.graph import extract_facts
 from repro.analysis.rules.taxonomy import extract_taxonomy
-
-_TAXONOMY_CONST = re.compile(r"^[A-Z][A-Z0-9_]*$")
 
 _SKIP_DIRS = {"__pycache__", ".git", ".spider-cache", ".venv", "node_modules"}
 
@@ -78,9 +67,6 @@ class LintRun:
     baselined: List[Finding] = field(default_factory=list)
     stale_baseline: List[Tuple[str, str, str]] = field(default_factory=list)
     files: int = 0
-    #: facts-cache statistics for this run (0/0 when caching is off).
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: path (as reported in findings) -> source lines, for baseline keys.
     sources: Dict[str, Sequence[str]] = field(default_factory=dict)
 
@@ -146,16 +132,12 @@ def load_plugins(names: Iterable[str]) -> None:
         importlib.import_module(name)
 
 
-def build_units(
-    paths: Iterable[Path], root: Optional[Path] = None, parse: bool = True
-) -> List[ModuleUnit]:
+def build_units(paths: Iterable[Path], root: Optional[Path] = None) -> List[ModuleUnit]:
     units = []
     for file in iter_python_files(paths):
         source = file.read_text(encoding="utf-8")
         units.append(
-            ModuleUnit.from_source(
-                _display_path(file, root), source, module=module_name_for(file), parse=parse
-            )
+            ModuleUnit.from_source(_display_path(file, root), source, module=module_name_for(file))
         )
     return units
 
@@ -163,17 +145,7 @@ def build_units(
 def build_project(units: List[ModuleUnit], config: LintConfig) -> ProjectContext:
     project = ProjectContext(config=config, units=units)
     taxonomy_unit = project.unit_for_module(config.taxonomy_module)
-    if taxonomy_unit is None:
-        return project
-    if not taxonomy_unit.parsed and taxonomy_unit.facts is not None:
-        # Warm cache: the taxonomy is derivable from facts, no re-parse.
-        project.taxonomy = {
-            name: value
-            for name, (value, _line) in taxonomy_unit.facts.constants.items()
-            if _TAXONOMY_CONST.match(name)
-        }
-    elif taxonomy_unit.ensure_tree() is not None:
-        assert taxonomy_unit.tree is not None
+    if taxonomy_unit is not None and taxonomy_unit.tree is not None:
         project.taxonomy = extract_taxonomy(taxonomy_unit.tree)
     return project
 
@@ -193,7 +165,6 @@ def lint_units(
     baseline: Optional[Baseline] = None,
     select: Sequence[str] = (),
     ignore: Sequence[str] = (),
-    cache: Optional[FactsCache] = None,
 ) -> LintRun:
     load_plugins(config.plugins)
     rules = active_rules(select or config.select, ignore or config.ignore)
@@ -201,51 +172,15 @@ def lint_units(
     for unit in units:
         run.sources[unit.path] = unit.source.splitlines()
 
-    digests: Dict[str, str] = {}
-    ruleset = ""
-    cached: Dict[str, List[Finding]] = {}
-    if cache is not None:
-        digests = {unit.path: content_digest(unit.source) for unit in units}
-        taxonomy_unit = next(
-            (u for u in units if u.module == config.taxonomy_module), None
-        )
-        taxonomy_digest = digests[taxonomy_unit.path] if taxonomy_unit else ""
-        ruleset = ruleset_digest(config.fingerprint(), taxonomy_digest)
-        for unit in units:
-            facts = cache.facts_for(unit.path, digests[unit.path])
-            if facts is not None:
-                unit.facts = facts
-            findings = cache.findings_for(unit.path, digests[unit.path], ruleset)
-            if findings is not None:
-                cached[unit.path] = findings
-                cache.hits += 1
-            else:
-                cache.misses += 1
-
     project = build_project(units, config)
 
     raw: List[Finding] = []
-    module_rules = [rule for rule in RULES.values() if rule.scope == "module"]
+    module_rules = [rule for rule in rules.values() if rule.scope == "module"]
     for unit in units:
-        if unit.path in cached:
-            unit_findings = cached[unit.path]
-        else:
-            unit.ensure_tree()
-            unit_findings = []
-            # Cold units run *every* module rule (not just the active
-            # selection) so the cached result is valid under any later
-            # --select/--ignore combination.
-            for rule in module_rules:
-                if unit.tree is None and rule.id != "SL000":
-                    continue
-                unit_findings.extend(rule.check(unit, project))
-            if cache is not None:
-                if unit.facts is None and unit.tree is not None:
-                    unit.facts = extract_facts(unit)
-                cache.store(
-                    unit.path, digests[unit.path], ruleset, unit.facts, unit_findings
-                )
-        raw.extend(f for f in unit_findings if f.rule.upper() in rules)
+        for rule in module_rules:
+            if unit.tree is None and rule.id != "SL000":
+                continue
+            raw.extend(rule.check(unit, project))
     for rule in rules.values():
         if rule.scope == "project":
             raw.extend(rule.check_project(project))
@@ -263,11 +198,6 @@ def lint_units(
             run.findings.append(finding)
     if baseline is not None:
         run.stale_baseline = baseline.stale_entries()
-    if cache is not None:
-        run.cache_hits = cache.hits
-        run.cache_misses = cache.misses
-        cache.prune([unit.path for unit in units])
-        cache.save()
     return run
 
 
@@ -278,11 +208,6 @@ def lint_paths(
     select: Sequence[str] = (),
     ignore: Sequence[str] = (),
     root: Optional[Path] = None,
-    cache: Optional[FactsCache] = None,
 ) -> LintRun:
-    units = build_units(
-        paths, root=root if root is not None else config.root, parse=cache is None
-    )
-    return lint_units(
-        units, config, baseline=baseline, select=select, ignore=ignore, cache=cache
-    )
+    units = build_units(paths, root=root if root is not None else config.root)
+    return lint_units(units, config, baseline=baseline, select=select, ignore=ignore)

@@ -1,6 +1,6 @@
 """Project-wide analysis graph: imports, symbols, and a conservative call graph.
 
-The per-file rules (SL001–SL010) see one AST at a time, so an invariant
+The per-file rules (SL001–SL009) see one AST at a time, so an invariant
 that spans modules — a wall-clock read two call-hops below a sim hot
 path, a back-edge import, a taxonomy constant nobody emits — is
 invisible to them. This module gives project-scope rules the
@@ -9,10 +9,7 @@ cross-module view in two layers:
 **Facts** (:class:`ModuleFacts`) are everything the project rules need
 from one file, extracted in a single AST walk: resolved import aliases,
 import sites, function/method definitions with their call sites, class
-bases, module-level constants, and ``*.emit(...)`` sites. Facts are
-plain data (JSON round-trippable), which is what makes the incremental
-cache (:mod:`repro.analysis.cache`) possible — a warm run reuses the
-facts of every unchanged file without re-parsing it.
+bases, module-level constants, and ``*.emit(...)`` sites.
 
 **The graph** (:class:`ProjectGraph`) joins all facts: a module-level
 import graph (raw targets resolved to project modules), a qualified
@@ -33,20 +30,15 @@ import ast
 from collections import deque
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.astutil import ImportMap, dotted_name
 from repro.analysis.core import ModuleUnit
 
-#: Bumped whenever the shape or meaning of extracted facts changes;
-#: part of the facts-cache key.
-SCHEMA_VERSION = 1
-
-#: Call sites whose *arguments* cross a process boundary (SL014). Only
-#: these calls get their argument expressions recorded in the facts —
-#: capturing arguments for every call would bloat the cache for one
-#: rule's benefit.
-PAYLOAD_CALLEE_SUFFIXES = ("submit", "Shard", "ShardRequest")
+#: Call sites whose *arguments* cross a process boundary (SL014): the
+#: process pool's ``submit`` and the ``Shard`` payload container. Only
+#: these calls get their argument expressions recorded in the facts.
+PAYLOAD_CALLEE_SUFFIXES = ("submit", "Shard")
 
 #: Receiver names whose ``.emit(...)`` is treated as a trace-bus
 #: emission (mirrors the SL004 idiom; ``self`` covers the bus emitting
@@ -129,79 +121,6 @@ class ModuleFacts:
     #: module-level ``UPPER_CASE = "string"`` constants: name -> (value, line)
     constants: Dict[str, Tuple[str, int]] = field(default_factory=dict)
     emits: List[EmitSite] = field(default_factory=list)
-
-    # -- JSON round trip (for the facts cache) -------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "is_package": self.is_package,
-            "aliases": self.aliases,
-            "imports": [[s.target, s.line, s.toplevel] for s in self.imports],
-            "functions": [
-                {
-                    "qualname": f.qualname,
-                    "line": f.line,
-                    "cls": f.cls,
-                    "calls": [
-                        [c.callee, c.line, c.col, list(c.arg_refs), list(c.lambda_lines)]
-                        for c in f.calls
-                    ],
-                    "local_callables": list(f.local_callables),
-                }
-                for f in self.functions
-            ],
-            "classes": {
-                name: {"line": c.line, "bases": list(c.bases), "methods": c.methods}
-                for name, c in self.classes.items()
-            },
-            "module_defs": list(self.module_defs),
-            "lambda_assigns": self.lambda_assigns,
-            "constants": {name: [value, line] for name, (value, line) in self.constants.items()},
-            "emits": [[e.line, e.col, e.ref, e.literal] for e in self.emits],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleFacts":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            is_package=bool(data.get("is_package", False)),
-            aliases=dict(data.get("aliases", {})),
-            imports=[ImportSite(t, line, top) for t, line, top in data.get("imports", [])],
-            functions=[
-                FunctionInfo(
-                    qualname=f["qualname"],
-                    line=f["line"],
-                    cls=f.get("cls"),
-                    calls=[
-                        CallSite(callee, line, col, tuple(refs), tuple(lams))
-                        for callee, line, col, refs, lams in f.get("calls", [])
-                    ],
-                    local_callables=tuple(f.get("local_callables", ())),
-                )
-                for f in data.get("functions", [])
-            ],
-            classes={
-                name: ClassInfo(
-                    line=c["line"],
-                    bases=tuple(c.get("bases", ())),
-                    methods=dict(c.get("methods", {})),
-                )
-                for name, c in data.get("classes", {}).items()
-            },
-            module_defs=tuple(data.get("module_defs", ())),
-            lambda_assigns=dict(data.get("lambda_assigns", {})),
-            constants={
-                name: (value, line)
-                for name, (value, line) in data.get("constants", {}).items()
-            },
-            emits=[
-                EmitSite(line=line, col=col, ref=ref, literal=lit)
-                for line, col, ref, lit in data.get("emits", [])
-            ],
-        )
 
 
 # -- extraction -------------------------------------------------------------
@@ -398,7 +317,7 @@ class _FactsVisitor(ast.NodeVisitor):
 
 def extract_facts(unit: ModuleUnit) -> Optional[ModuleFacts]:
     """Facts for one parsed unit (None when the file does not parse)."""
-    tree = unit.ensure_tree()
+    tree = unit.tree
     if tree is None:
         return None
     facts = ModuleFacts(
@@ -650,11 +569,6 @@ class ProjectGraph:
 
 
 def build_graph(units: Iterable[ModuleUnit]) -> ProjectGraph:
-    """Extract facts where missing, then join them into a ProjectGraph."""
-    all_facts: List[ModuleFacts] = []
-    for unit in units:
-        if unit.facts is None:
-            unit.facts = extract_facts(unit)
-        if unit.facts is not None:
-            all_facts.append(unit.facts)
+    """Extract every unit's facts and join them into a ProjectGraph."""
+    all_facts = [facts for facts in map(extract_facts, units) if facts is not None]
     return ProjectGraph(all_facts)

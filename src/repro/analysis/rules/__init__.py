@@ -1,12 +1,11 @@
 """Built-in simlint rules.
 
-Importing this package registers SL001–SL014 with the rule registry in
-:mod:`repro.analysis.core`; third-party rules register identically from
-modules listed under ``[tool.simlint] plugins``.
+Importing this package registers SL001–SL009 and SL011–SL014 with the
+rule registry in :mod:`repro.analysis.core`; third-party rules register
+identically from modules listed under ``[tool.simlint] plugins``.
 """
 
 from repro.analysis.rules import (
-    boundary,
     determinism,
     guards,
     layers,
@@ -18,7 +17,6 @@ from repro.analysis.rules import (
 )
 
 __all__ = [
-    "boundary",
     "determinism",
     "guards",
     "layers",

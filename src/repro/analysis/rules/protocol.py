@@ -146,7 +146,7 @@ class ExperimentRegistry(Rule):
             for u in project.units
             if u.in_package((config.experiments_package,)) and u.module is not None
         ]
-        if registry_unit is None or registry_unit.ensure_tree() is None:
+        if registry_unit is None or registry_unit.tree is None:
             return  # registry not part of this lint run (e.g. single-file invocation)
 
         registry = self._find_registry(registry_unit.tree)
@@ -253,31 +253,31 @@ class ExperimentRegistry(Rule):
 
 
 #: Callables whose arguments cross the worker-process boundary: the
-#: backend submit method plus the payload containers handed to it.
+#: process pool's submit method plus the shard payload container.
 #: Matched on the *resolved* target when resolution succeeds, and on
-#: the raw trailing name otherwise (a ``backend.submit(...)`` receiver
-#: is rarely resolvable statically).
+#: the raw trailing name otherwise (a ``pool.submit(...)`` receiver is
+#: rarely resolvable statically).
 _PAYLOAD_TARGETS = (
     "repro.exec.shards.Shard",
-    "repro.exec.backend.base.ShardRequest",
+    "concurrent.futures.ProcessPoolExecutor.submit",
 )
-_PAYLOAD_RAW_SUFFIXES = ("submit", "Shard", "ShardRequest")
+_PAYLOAD_RAW_SUFFIXES = ("submit", "Shard")
 
 
 @register_rule
 class ShardPayloadPicklable(Rule):
     """SL014: shard payloads must be import-addressable.
 
-    Everything submitted to an :class:`ExecutionBackend` is pickled
-    into a worker process, and pickle serialises functions and classes
+    Everything submitted to the shard process pool is pickled into a
+    worker process, and pickle serialises functions and classes
     *by qualified name*: a lambda, a closure, or a class defined inside
     a function has no importable name, so the payload either crashes
     the worker (``AttributeError: <locals>``) or — worse, with
     ``dill``-style fallbacks — silently captures ambient state that
     differs between processes, breaking byte-identity. The per-file
     SL005 checks the protocol *functions*; this rule checks the
-    *values*: at every ``Shard(...)``/``ShardRequest(...)``
-    construction and every ``*.submit(...)`` call it flags lambdas,
+    *values*: at every ``Shard(...)`` construction and every
+    ``*.submit(...)`` call it flags lambdas,
     references to function-local defs/classes, and — through the
     project symbol table — references that resolve to a module-level
     ``name = lambda ...`` in another module (importable, but still

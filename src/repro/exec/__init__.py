@@ -2,31 +2,20 @@
 
 The paper's evaluation is embarrassingly parallel (independent per-seed
 runs and per-configuration rows); this package turns that into wall
-clock: a shard protocol experiments opt into (`shards.py`), a
-fault-tolerant execution engine with retry and sequential fallback
-(`workers.py`) over pluggable placement backends (`backend/` — local
-pool, SSH workers, filesystem job queue), a content-addressed result
-cache keyed on parameters + code version (`cache.py`), an append-only
-campaign journal that makes killed campaigns resumable (`journal.py`),
-and the campaign orchestrator that keeps distributed output
-byte-identical to sequential output (`campaign.py`).
+clock on one machine: a shard protocol experiments opt into
+(`shards.py`), a fault-tolerant execution engine over one local
+process pool with retry and sequential fallback (`workers.py`), a
+content-addressed result cache keyed on parameters + code version
+(`cache.py`), an append-only campaign journal that makes killed
+campaigns resumable (`journal.py`), and the campaign orchestrator that
+keeps parallel output byte-identical to sequential output
+(`campaign.py`).
 
-CLI surface: ``spider-repro run <id> --jobs N [--backend SPEC]
-[--cache-dir PATH] [--no-cache]`` and ``spider-repro campaign
-[ids|all] [--backend SPEC] [--journal PATH] [--resume JOURNAL]``.
+CLI surface: ``spider-repro run <id> --jobs N [--cache-dir PATH]
+[--no-cache]`` and ``spider-repro campaign [ids|all] [--jobs N]
+[--journal PATH] [--resume JOURNAL]``.
 """
 
-from repro.exec.backend import (
-    BackendBroken,
-    BackendError,
-    ExecutionBackend,
-    LocalPoolBackend,
-    QueueDirBackend,
-    RemoteShardError,
-    SubprocessSSHBackend,
-    WorkerTimeout,
-    make_backend,
-)
 from repro.exec.cache import ResultCache, canonical_text
 from repro.exec.campaign import (
     CampaignAborted,
@@ -49,18 +38,12 @@ from repro.exec.workers import (
 )
 
 __all__ = [
-    "BackendBroken",
-    "BackendError",
     "CampaignAborted",
     "CampaignJournal",
     "CampaignResult",
     "ExecPolicy",
-    "ExecutionBackend",
     "ExperimentExecution",
     "JournalError",
-    "LocalPoolBackend",
-    "QueueDirBackend",
-    "RemoteShardError",
     "ResultCache",
     "SOURCE_CACHE",
     "SOURCE_INLINE",
@@ -69,8 +52,6 @@ __all__ = [
     "ShardError",
     "ShardOutcome",
     "ShardPlan",
-    "SubprocessSSHBackend",
-    "WorkerTimeout",
     "build_plan",
     "campaign_manifest",
     "canonical_text",
@@ -78,7 +59,6 @@ __all__ = [
     "execute_shards",
     "invoke_shard",
     "load_journal",
-    "make_backend",
     "run_campaign",
     "supports_sharding",
 ]

@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.backend.base import ExecutionBackend
 from repro.exec.cache import ResultCache
 from repro.exec.journal import CampaignJournal
 from repro.exec.shards import ShardPlan, build_plan
@@ -70,31 +69,11 @@ class ExperimentExecution:
     def cache_hits(self) -> int:
         return self.count(SOURCE_CACHE)
 
-    def sources(self) -> Dict[str, int]:
-        """Executed-shard counts by source (cache excluded): ``pool``,
-        ``inline``, or whichever backend ran them (``ssh``, ``queue``)."""
-        counts: Dict[str, int] = {}
-        for outcome in self.outcomes:
-            if outcome.source != SOURCE_CACHE:
-                counts[outcome.source] = counts.get(outcome.source, 0) + 1
-        return counts
-
-    def workers(self) -> Dict[str, Dict[str, float]]:
-        """Per-worker rollup for backend-executed shards: how many
-        shards each worker lane ran and how much compute it did."""
-        rollup: Dict[str, Dict[str, float]] = {}
-        for outcome in self.outcomes:
-            if not outcome.worker:
-                continue
-            entry = rollup.setdefault(outcome.worker, {"shards": 0, "worker_seconds": 0.0})
-            entry["shards"] += 1
-            entry["worker_seconds"] = round(entry["worker_seconds"] + outcome.worker_seconds, 6)
-        return rollup
-
     def summary_line(self) -> str:
-        sources = self.sources()
         by_source = "".join(
-            f" {source}={sources[source]}" for source in sorted(sources)
+            f" {source}={self.count(source)}"
+            for source in (SOURCE_INLINE, SOURCE_POOL)
+            if self.count(source)
         ) or " executed=0"
         return (
             f"exec: {self.name} shards={self.shards_total} jobs={self.jobs}"
@@ -114,15 +93,12 @@ class ExperimentExecution:
 
     def telemetry(self) -> Dict:
         """Execution telemetry for the run manifest: where shards came
-        from (including which backend and which worker), how often they
-        retried, and where their time went."""
+        from, how often they retried, and where their time went."""
         return {
             "shards": self.shards_total,
             "cached": self.cache_hits,
             "pool": self.count(SOURCE_POOL),
             "inline": self.count(SOURCE_INLINE),
-            "sources": self.sources(),
-            "workers": self.workers(),
             "retries": self.retries,
             "wall_seconds": round(self.wall_seconds, 6),
             "worker_seconds": round(sum(o.worker_seconds for o in self.outcomes), 6),
@@ -135,7 +111,6 @@ class ExperimentExecution:
                     "wall": round(outcome.wall_seconds, 6),
                     "worker": round(outcome.worker_seconds, 6),
                     "queue": round(outcome.queue_seconds, 6),
-                    "worker_id": outcome.worker,
                 }
                 for outcome in self.outcomes
             ],
@@ -175,15 +150,12 @@ def execute_experiment(
     on_outcome: Optional[Callable[[ShardOutcome], None]] = None,
     plan: Optional[ShardPlan] = None,
     parameters: Optional[Dict] = None,
-    backend: Optional[ExecutionBackend] = None,
 ) -> ExperimentExecution:
     """Run one experiment through the exec engine; returns its result
     dict (identical to ``run_experiment``'s) plus shard accounting.
 
     ``plan``/``parameters`` accept a pre-resolved :func:`resolve_plan`
-    result so the campaign loop does not plan twice. ``backend``
-    overrides shard placement (see ``repro.exec.backend``); ``None``
-    keeps the default local pool / inline strategy.
+    result so the campaign loop does not plan twice.
     """
     if plan is None:
         plan, parameters = resolve_plan(name, fast=fast, overrides=overrides)
@@ -203,7 +175,6 @@ def execute_experiment(
         cache=cache,
         experiment=name,
         on_outcome=on_outcome,
-        backend=backend,
     )
     result = plan.merge([outcome.result for outcome in outcomes])
     wall = time.perf_counter() - started
@@ -246,24 +217,11 @@ class CampaignResult:
     def telemetry(self) -> Dict:
         """Campaign-level execution counters (per-experiment detail
         lives in each run manifest's own ``telemetry``)."""
-        sources: Dict[str, int] = {}
-        workers: Dict[str, Dict[str, float]] = {}
-        for execution in self.executions:
-            for source, count in execution.sources().items():
-                sources[source] = sources.get(source, 0) + count
-            for worker, entry in execution.workers().items():
-                rollup = workers.setdefault(worker, {"shards": 0, "worker_seconds": 0.0})
-                rollup["shards"] += entry["shards"]
-                rollup["worker_seconds"] = round(
-                    rollup["worker_seconds"] + entry["worker_seconds"], 6
-                )
         return {
             "shards": self.shards_total,
             "cached": self.cache_hits,
             "pool": sum(e.count(SOURCE_POOL) for e in self.executions),
             "inline": sum(e.count(SOURCE_INLINE) for e in self.executions),
-            "sources": sources,
-            "workers": workers,
             "retries": sum(e.retries for e in self.executions),
             "wall_seconds": round(self.wall_seconds, 6),
             "worker_seconds": round(
@@ -283,7 +241,6 @@ def run_campaign(
     policy: Optional[ExecPolicy] = None,
     progress: Optional[Callable[[str], None]] = None,
     on_experiment: Optional[Callable[[ExperimentExecution], None]] = None,
-    backend: Optional[ExecutionBackend] = None,
     journal: Optional[CampaignJournal] = None,
     die_after: Optional[int] = None,
 ) -> CampaignResult:
@@ -300,11 +257,10 @@ def run_campaign(
     actually *executed* (cache hits land in microseconds and would
     extrapolate an absurd ETA for the real work remaining).
 
-    ``backend`` places every experiment's shards (one backend spans the
-    campaign); ``journal`` receives plan/outcome records as they
-    happen (see ``repro.exec.journal``); ``die_after`` aborts the
-    campaign with :class:`CampaignAborted` after that many shard
-    outcomes — fault injection for testing ``--resume``.
+    ``journal`` receives plan/outcome records as they happen (see
+    ``repro.exec.journal``); ``die_after`` aborts the campaign with
+    :class:`CampaignAborted` after that many shard outcomes — fault
+    injection for testing ``--resume``.
     """
     campaign = CampaignResult(jobs=jobs, cache_stats=None)
     started = time.perf_counter()
@@ -374,7 +330,6 @@ def run_campaign(
                 on_outcome=on_outcome,
                 plan=plan,
                 parameters=parameters,
-                backend=backend,
             )
 
         if profiler is not None:

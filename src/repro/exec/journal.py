@@ -9,9 +9,9 @@ campaign killed mid-run leaves a journal that is truncated, never
 corrupt — later records are simply missing.
 
 ``--resume PATH`` replays the journal: the campaign re-runs with the
-*recorded* arguments (experiment list, fast flag, cache directory,
-backend spec — overridable from the CLI) against the same result
-cache. Because the exec engine caches every outcome as it lands,
+*recorded* arguments (experiment list, fast flag, cache directory —
+overridable from the CLI) against the same result cache. Because the
+exec engine caches every outcome as it lands,
 shards the killed run completed come back as cache hits and only the
 remainder executes; the deterministic plan-order merge then makes the
 resumed output byte-identical to an uninterrupted run.
@@ -63,7 +63,6 @@ class CampaignJournal:
         self,
         names: Sequence[str],
         fast: bool,
-        backend: Optional[str],
         cache_dir: Optional[str],
         code_version: str,
     ) -> None:
@@ -72,7 +71,6 @@ class CampaignJournal:
                 "op": "begin",
                 "names": list(names),
                 "fast": fast,
-                "backend": backend,
                 "cache_dir": cache_dir,
                 "code_version": code_version,
                 "pid": os.getpid(),
@@ -124,7 +122,6 @@ class JournalState:
 
     names: List[str] = field(default_factory=list)
     fast: bool = False
-    backend: Optional[str] = None
     cache_dir: Optional[str] = None
     code_version: str = ""
     #: experiment -> planned shard keys, in plan order.
@@ -153,7 +150,11 @@ class JournalState:
 
 
 def load_journal(path: Union[str, Path]) -> JournalState:
-    """Parse a journal, tolerating a torn final line (killed mid-write)."""
+    """Parse a journal, tolerating a torn final line (killed mid-write).
+
+    Unknown record fields are ignored, so journals written while the
+    ``begin`` record still carried a ``backend`` spec load unchanged.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -174,8 +175,6 @@ def load_journal(path: Union[str, Path]) -> JournalState:
             saw_begin = True
             state.names = [str(name) for name in record.get("names", [])]
             state.fast = bool(record.get("fast", False))
-            backend = record.get("backend")
-            state.backend = None if backend is None else str(backend)
             cache_dir = record.get("cache_dir")
             state.cache_dir = None if cache_dir is None else str(cache_dir)
             state.code_version = str(record.get("code_version", ""))

@@ -1,4 +1,4 @@
-"""Fault-tolerant shard execution: strategy over pluggable backends.
+"""Fault-tolerant shard execution over one local process pool.
 
 Execution strategy, in order of preference:
 
@@ -6,60 +6,42 @@ Execution strategy, in order of preference:
    never execute at all; results are cached per-outcome as they land,
    so a killed run loses nothing that already finished (the basis of
    campaign ``--resume``).
-2. **Backend** — remaining shards fan out through an
-   :class:`~repro.exec.backend.ExecutionBackend`: the local process
-   pool by default (``jobs`` workers), or whatever ``--backend``
-   selected (SSH workers, a queue-dir spool). Each shard gets a
-   per-shard timeout and a bounded number of retries with exponential
-   backoff; a shard that keeps failing in the backend gets one final
-   in-process attempt before the run is declared failed.
+2. **Process pool** — remaining shards fan out over a
+   ``ProcessPoolExecutor`` of ``jobs`` workers through the picklable
+   :func:`~repro.exec.shards.invoke_shard_timed` entry point. Each
+   shard gets a per-shard timeout and a bounded number of retries with
+   exponential backoff; a shard that keeps failing in the pool gets
+   one final in-process attempt before the run is declared failed.
 3. **In-process sequential** — used outright for ``jobs <= 1`` or a
-   single pending shard (no pool overhead, default backend only), and
-   as the graceful degradation path when the backend dies
-   (:class:`~repro.exec.backend.BackendBroken`: the pool's workers
-   were OOM-killed, every SSH host is blacklisted, the spool is
-   unserviced).
+   single pending shard (no pool overhead), and as the graceful
+   degradation path when the pool refuses to start or dies
+   (``BrokenExecutor``: a worker was OOM-killed or exited).
 
 Whatever the path, outcomes are returned **in shard order**, never in
 completion order — together with the experiments' pure ``merge`` this
-makes distributed output byte-identical to sequential output.
-
-This module holds the *strategy* (retries, timeouts, ordering,
-degradation); *placement* lives behind the backend ABC, and simlint
-SL010 keeps executor/subprocess primitives inside
-``repro.exec.backend``.
+makes parallel output byte-identical to sequential output.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.exec.backend.base import (
-    BackendBroken,
-    BackendFuture,
-    ExecutionBackend,
-    ShardRequest,
-)
 from repro.exec.cache import ResultCache
-from repro.exec.shards import Shard, invoke_shard
+from repro.exec.shards import Shard, invoke_shard, invoke_shard_timed
 from repro.obs.spans import (
-    SPAN_BACKEND_TASK,
     SPAN_EXEC_CACHE,
     SPAN_EXEC_SHARD,
     SPAN_EXEC_SHARDS,
     current_profiler,
 )
 
-#: How a shard's result was obtained. Backend-executed shards report
-#: the backend's name (the local pool keeps the historical "pool").
+#: How a shard's result was obtained.
 SOURCE_CACHE = "cache"
 SOURCE_POOL = "pool"
 SOURCE_INLINE = "inline"
-SOURCE_SSH = "ssh"
-SOURCE_QUEUE = "queue"
 
 
 class ShardError(RuntimeError):
@@ -81,7 +63,7 @@ class ExecPolicy:
     """Knobs of the execution strategy."""
 
     jobs: int = 1
-    #: Seconds a single backend attempt may take; ``None`` disables the
+    #: Seconds a single pool attempt may take; ``None`` disables the
     #: timeout. A timed-out attempt counts as a failure and is retried
     #: (the stuck worker is abandoned at shutdown, not joined).
     shard_timeout: Optional[float] = None
@@ -102,11 +84,9 @@ class ShardOutcome:
 
     ``wall_seconds`` is submit-to-result as seen by the orchestrator;
     ``worker_seconds`` is the time the shard function itself ran (in
-    the worker process for backend shards); ``queue_seconds`` is the
-    difference — queue wait plus IPC — clamped at zero. ``worker`` is
-    the executing worker's lane label (``host/3``,
-    ``queue-worker/<pid>``) when a backend reported one. Cached shards
-    report zero time and no worker.
+    the worker process for pool shards); ``queue_seconds`` is the
+    difference — queue wait plus IPC — clamped at zero. Cached shards
+    report zero time.
     """
 
     shard: Shard
@@ -116,7 +96,6 @@ class ShardOutcome:
     wall_seconds: float
     worker_seconds: float = 0.0
     queue_seconds: float = 0.0
-    worker: str = ""
 
 
 def execute_shards(
@@ -127,26 +106,18 @@ def execute_shards(
     cache: Optional[ResultCache] = None,
     experiment: str = "",
     on_outcome: Optional[Callable[[ShardOutcome], None]] = None,
-    backend: Optional[ExecutionBackend] = None,
 ) -> List[ShardOutcome]:
     """Run every shard; returns outcomes in shard order.
 
     Raises :class:`ShardError` if any shard fails on all attempts —
-    partial evaluations are worse than loud failures.
-
-    ``backend=None`` keeps the historical behavior: inline for
-    ``jobs <= 1`` or a single pending shard, a per-call local process
-    pool otherwise. An explicit backend receives every pending shard
-    (its capacity, not ``jobs``, bounds concurrency) and is *not* shut
-    down here — the caller that built it owns its lifecycle, so one
-    backend spans a whole campaign.
+    partial evaluations are worse than loud failures. Runs inline for
+    ``jobs <= 1`` or a single pending shard, over a per-call process
+    pool of ``min(jobs, pending)`` workers otherwise.
 
     With an ambient :class:`~repro.obs.spans.SpanProfiler` installed,
     the call is wrapped in an ``exec.shards`` span, the cache scan in
-    an ``exec.cache`` span, every outcome is recorded as a retroactive
-    ``exec.shard`` span on its own ``shard:<key>`` lane, and
-    backend-executed shards additionally get a ``backend.task`` span on
-    a per-worker ``worker:<label>`` lane.
+    an ``exec.cache`` span, and every outcome is recorded as a
+    retroactive ``exec.shard`` span on its own ``shard:<key>`` lane.
     """
     policy = policy or ExecPolicy()
     profiler = current_profiler()
@@ -171,16 +142,6 @@ def execute_shards(
                 queue=round(outcome.queue_seconds, 6),
                 lane=f"shard:{outcome.shard.key}",
             )
-            if outcome.worker:
-                profiler.record(
-                    SPAN_BACKEND_TASK,
-                    t1 - outcome.worker_seconds,
-                    t1,
-                    key=outcome.shard.key,
-                    backend=outcome.source,
-                    worker=outcome.worker,
-                    lane=f"worker:{outcome.worker}",
-                )
         if on_outcome is not None:
             on_outcome(outcome)
 
@@ -198,31 +159,21 @@ def execute_shards(
     def execute_pending() -> None:
         if not pending:
             return
-        if backend is not None:
-            if backend.capacity() > 0:
-                _run_backend(
-                    backend, module_name, func_name, shards, pending, policy, experiment, finish
-                )
-            else:
-                _run_inline(module_name, func_name, shards, pending, policy, experiment, finish)
-            return
         if policy.jobs <= 1 or len(pending) == 1:
             _run_inline(module_name, func_name, shards, pending, policy, experiment, finish)
             return
-        from repro.exec.backend.local import LocalPoolBackend
-
         try:
-            pool = LocalPoolBackend(max_workers=min(policy.jobs, len(pending)))
-        except BackendBroken:
+            pool = ProcessPoolExecutor(max_workers=min(policy.jobs, len(pending)))
+        except (OSError, ValueError):
             # The host refuses worker processes; degrade immediately.
             _run_inline(module_name, func_name, shards, pending, policy, experiment, finish)
             return
         try:
-            _run_backend(
-                pool, module_name, func_name, shards, pending, policy, experiment, finish
-            )
+            _run_pool(pool, module_name, func_name, shards, pending, policy, experiment, finish)
         finally:
-            pool.shutdown(wait=False)
+            # wait=False: a worker stuck past its shard timeout must not
+            # stall the (already complete) run at shutdown.
+            pool.shutdown(wait=False, cancel_futures=True)
 
     if profiler is not None:
         with profiler.span(SPAN_EXEC_SHARDS, experiment=experiment, shards=len(shards)) as span:
@@ -285,8 +236,8 @@ def _run_inline(
             break
 
 
-def _run_backend(
-    backend: ExecutionBackend,
+def _run_pool(
+    pool: ProcessPoolExecutor,
     module_name: str,
     func_name: str,
     shards: Sequence[Shard],
@@ -295,129 +246,101 @@ def _run_backend(
     experiment: str,
     finish: Callable[[int, ShardOutcome], None],
 ) -> None:
-    """Backend execution with per-shard timeout, retry, and degradation."""
-    source = backend.name
+    """Pool execution with per-shard timeout, retry, and degradation.
+
+    ``finish`` runs outside every ``try`` that classifies attempts: an
+    exception from the outcome callback (a campaign abort, a journal
+    write error) propagates as is, never as a failed shard to retry.
+    """
     broken = False
     started: Dict[int, float] = {}
-    futures: Dict[int, BackendFuture] = {}
+    futures: Dict[int, Future[Dict[str, Any]]] = {}
 
-    def submit(index: int) -> bool:
+    def submit(index: int) -> None:
         """Submit one shard; flips ``broken`` instead of raising."""
         nonlocal broken
-        request = ShardRequest(
-            experiment=experiment,
-            module_name=module_name,
-            func_name=func_name,
-            key=shards[index].key,
-            params=shards[index].params,
-        )
         started[index] = time.perf_counter()
         try:
-            futures[index] = backend.submit(request)
-        except BackendBroken:
+            futures[index] = pool.submit(
+                invoke_shard_timed, module_name, func_name, shards[index].params
+            )
+        except (BrokenExecutor, RuntimeError, OSError):
             broken = True
-            return False
-        return True
+
+    def pooled(index: int, payload: Dict[str, Any], attempts: int) -> ShardOutcome:
+        wall = time.perf_counter() - started[index]
+        worker = payload["worker_seconds"]
+        return ShardOutcome(
+            shards[index],
+            payload["result"],
+            SOURCE_POOL,
+            attempts,
+            wall,
+            worker_seconds=worker,
+            queue_seconds=max(0.0, wall - worker),
+        )
 
     for index in pending:
-        if not submit(index):
+        submit(index)
+        if broken:
             break
 
     for index in pending:
-        shard = shards[index]
         attempts = 0
         while True:
             if broken:
-                # The backend is gone. Work already in flight may still
+                # The pool is gone. Work already in flight may still
                 # have landed (the break was discovered later) — harvest
-                # it non-blockingly before paying for an inline run.
+                # it without blocking before paying for an inline run.
                 future = futures.pop(index, None)
-                if future is not None:
-                    try:
-                        payload = future.result(timeout=0)
-                    except Exception:
-                        pass
-                    else:
-                        wall = time.perf_counter() - started[index]
-                        worker = float(payload.get("worker_seconds", 0.0))
-                        finish(
-                            index,
-                            ShardOutcome(
-                                shard,
-                                payload["result"],
-                                source,
-                                attempts + 1,
-                                wall,
-                                worker_seconds=worker,
-                                queue_seconds=max(0.0, wall - worker),
-                                worker=str(payload.get("worker", "")),
-                            ),
-                        )
-                        break
-                # Run this shard (and implicitly every later one)
-                # in-process. Attempts so far still count toward the
-                # reported total.
+                try:
+                    payload = future.result(timeout=0) if future is not None else None
+                except Exception:
+                    payload = None
+                if payload is not None:
+                    finish(index, pooled(index, payload, attempts + 1))
+                else:
+                    # Attempts so far still count toward the reported total.
+                    _run_inline(
+                        module_name,
+                        func_name,
+                        shards,
+                        [index],
+                        policy,
+                        experiment,
+                        finish,
+                        prior_attempts=attempts,
+                    )
+                break
+            if index not in futures:
+                submit(index)
+                continue
+            attempts += 1
+            try:
+                payload = futures[index].result(timeout=policy.shard_timeout)
+            except BrokenExecutor:
+                broken = True
+                continue
+            except Exception:
+                # A timeout or the shard's own failure: that attempt is
+                # abandoned (a stuck worker is left to shutdown).
+                del futures[index]
+            else:
+                finish(index, pooled(index, payload, attempts))
+                break
+            if attempts > policy.max_retries:
+                # Last resort before giving up: one in-process try.
                 _run_inline(
                     module_name,
                     func_name,
                     shards,
                     [index],
-                    policy,
+                    replace(policy, max_retries=0),
                     experiment,
                     finish,
                     prior_attempts=attempts,
                 )
                 break
-            if index not in futures and not submit(index):
-                continue
-            attempts += 1
-            try:
-                payload = futures[index].result(timeout=policy.shard_timeout)
-                wall = time.perf_counter() - started[index]
-                worker = float(payload.get("worker_seconds", 0.0))
-                finish(
-                    index,
-                    ShardOutcome(
-                        shard,
-                        payload["result"],
-                        source,
-                        attempts,
-                        wall,
-                        worker_seconds=worker,
-                        queue_seconds=max(0.0, wall - worker),
-                        worker=str(payload.get("worker", "")),
-                    ),
-                )
-                break
-            except BackendBroken:
-                broken = True
-                continue
-            except FutureTimeoutError as exc:
-                failure: BaseException = exc
-            except Exception as exc:
-                failure = exc
-            futures.pop(index, None)  # that attempt is abandoned
-            if attempts > policy.max_retries:
-                # Last resort before giving up: one in-process try.
-                attempt_started = time.perf_counter()
-                try:
-                    result = invoke_shard(module_name, func_name, shard.params)
-                except Exception as final_exc:
-                    raise ShardError(experiment, shard, attempts + 1, final_exc) from final_exc
-                now = time.perf_counter()
-                finish(
-                    index,
-                    ShardOutcome(
-                        shard,
-                        result,
-                        SOURCE_INLINE,
-                        attempts + 1,
-                        now - started[index],
-                        worker_seconds=now - attempt_started,
-                    ),
-                )
-                break
             backoff = policy.backoff(attempts)
             if backoff > 0:
                 policy.sleep(backoff)
-            submit(index)

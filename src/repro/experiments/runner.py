@@ -207,12 +207,7 @@ DEFAULT_CACHE_DIR = ".spider-cache"
 
 
 def _exec_requested(args) -> bool:
-    return (
-        args.jobs is not None
-        or args.cache_dir is not None
-        or args.no_cache
-        or args.backend is not None
-    )
+    return args.jobs is not None or args.cache_dir is not None or args.no_cache
 
 
 def _make_cache(args):
@@ -264,27 +259,16 @@ def _run_observed(name: str, args) -> None:
         from repro.exec import execute_experiment
 
         jobs = args.jobs or 1
-        backend_spec = args.backend
-        if inline_only and (jobs > 1 or backend_spec):
+        if inline_only and jobs > 1:
             # Trace buses, metrics registries, and flight recorders live
             # in this process; worker processes would simulate where
             # they can't be seen.
             print(
                 "note: --trace/--metrics/--profile/--flight run shards in-process;"
-                " ignoring --jobs/--backend"
+                " ignoring --jobs"
             )
             jobs = 1
-            backend_spec = None
-        from repro.exec.backend import make_backend
-
-        backend = make_backend(backend_spec, jobs=jobs)
-        try:
-            execution = execute_experiment(
-                name, fast=args.fast, jobs=jobs, cache=_make_cache(args), backend=backend
-            )
-        finally:
-            if backend is not None:
-                backend.shutdown()
+        execution = execute_experiment(name, fast=args.fast, jobs=jobs, cache=_make_cache(args))
         return execution.result
 
     if not observed:
@@ -380,14 +364,12 @@ def _run_campaign(names, args) -> int:
     the campaign's wall-time span tree (one ``shard:<key>`` lane per
     executed shard); ``--flight`` arms a crash post-mortem dump.
 
-    ``--backend`` places shards (local pool, SSH workers, queue dir);
-    ``--journal`` records the campaign durably; ``--resume JOURNAL``
-    re-runs a killed campaign against the same cache, so completed
-    shards are skipped and the merged output is byte-identical to an
-    uninterrupted run.
+    ``--jobs N`` sizes the local process pool; ``--journal`` records
+    the campaign durably; ``--resume JOURNAL`` re-runs a killed
+    campaign against the same cache, so completed shards are skipped
+    and the merged output is byte-identical to an uninterrupted run.
     """
     from repro.exec import campaign_manifest, run_campaign
-    from repro.exec.backend import make_backend
     from repro.exec.campaign import CampaignAborted
     from repro.exec.journal import CampaignJournal, JournalError, load_journal
     from repro.obs.flight import FlightRecorder, dump_postmortem
@@ -414,13 +396,10 @@ def _run_campaign(names, args) -> int:
         args.fast = args.fast or resume_state.fast
         if args.cache_dir is None and resume_state.cache_dir:
             args.cache_dir = resume_state.cache_dir
-        if args.backend is None and resume_state.backend:
-            args.backend = resume_state.backend
         print(resume_state.summary_line())
 
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     cache = _make_cache(args)
-    backend = make_backend(args.backend, jobs=jobs)
     journal = None
     if journal_path:
         journal = CampaignJournal(journal_path)
@@ -432,7 +411,6 @@ def _run_campaign(names, args) -> int:
             journal.begin(
                 names,
                 args.fast,
-                args.backend,
                 (args.cache_dir or DEFAULT_CACHE_DIR) if cache is not None else None,
                 default_code_version(),
             )
@@ -451,7 +429,6 @@ def _run_campaign(names, args) -> int:
                     print_experiment(execution.name, execution.result),
                     print(),
                 ),
-                backend=backend,
                 journal=journal,
                 die_after=args.die_after,
             )
@@ -475,8 +452,6 @@ def _run_campaign(names, args) -> int:
             print(f"flight recorder: post-mortem -> {crash_path}", file=sys.stderr)
         raise
     finally:
-        if backend is not None:
-            backend.shutdown()
         if journal is not None:
             journal.close()
     manifest = campaign_manifest(campaign, fast=args.fast, started_at=started, spans=profiler)
@@ -594,15 +569,6 @@ def main(argv: Optional[list] = None) -> int:
         "--no-cache", action="store_true", help="disable the shard-result cache"
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "shard placement: local[:N] | ssh:host[*slots],...[?heartbeat=S] |"
-            " queuedir:PATH[?workers=N] (default: local pool)"
-        ),
-    )
-    parser.add_argument(
         "--journal",
         default=None,
         metavar="PATH",
@@ -675,15 +641,6 @@ def main(argv: Optional[list] = None) -> int:
         parser.error("--jobs must be >= 1")
     if args.die_after is not None and args.die_after < 1:
         parser.error("--die-after must be >= 1")
-    if args.backend is not None:
-        from repro.exec.backend import parse_backend_spec
-
-        try:
-            kind, _, _ = parse_backend_spec(args.backend)
-            if kind not in ("local", "ssh", "queuedir"):
-                raise ValueError(f"unknown backend kind {kind!r} (known: local, ssh, queuedir)")
-        except ValueError as exc:
-            parser.error(str(exc))
     if args.command != "campaign" and (args.resume or args.journal or args.die_after):
         parser.error("--resume/--journal/--die-after apply to the campaign command")
 

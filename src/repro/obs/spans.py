@@ -45,7 +45,6 @@ SPAN_EXPERIMENT = "exec.experiment"  # one experiment through the exec engine
 SPAN_EXEC_SHARDS = "exec.shards"  # one execute_shards call (experiment, shards)
 SPAN_EXEC_CACHE = "exec.cache"  # the cache scan phase (hits, pending)
 SPAN_EXEC_SHARD = "exec.shard"  # one shard outcome (key, source, attempts)
-SPAN_BACKEND_TASK = "backend.task"  # one backend execution (key, backend, worker)
 
 
 class Span:

@@ -88,14 +88,6 @@ SCENARIO_RUN = "scenario.run"  # scenario, driver, duration
 # run: bus-level bookkeeping (emitted by the bus itself, not a layer)
 RUN_SEGMENT = "run.segment"  # segment, offset — a new simulator adopted the bus
 
-# backend: distributed shard execution (repro.exec.backend). These are
-# *harness* events — sim_t is wall seconds since the backend started,
-# not simulated time.
-BACKEND_SUBMIT = "backend.submit"  # backend, key, worker
-BACKEND_RESULT = "backend.result"  # backend, key, worker, ok, worker_seconds
-BACKEND_WORKER_DEAD = "backend.worker_dead"  # backend, worker, reason
-BACKEND_BLACKLIST = "backend.blacklist"  # backend, host, failures
-
 # driver: join lifecycle and AP selection policy
 DRIVER_JOIN = "driver.join"  # client, ap, channel
 DRIVER_SELECT = "driver.select"  # client, ap, policy, candidates

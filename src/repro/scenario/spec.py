@@ -255,6 +255,14 @@ class ScenarioSpec:
             raise SpecError("a generated deployment needs loop mobility (it lines the route)")
         if self.deployment.kind == "explicit" and self.deployment.channel_mix is not None:
             raise SpecError("channel_mix only applies to generated and metro deployments")
+        if self.deployment.kind in ("generated", "metro"):
+            low, high = self.deployment.backhaul_bps_min, self.deployment.backhaul_bps_max
+            if not low > 0:
+                raise SpecError("backhaul_bps_min must be positive")
+            if not low <= high:
+                raise SpecError(
+                    f"need backhaul_bps_min <= backhaul_bps_max (got {low}, {high})"
+                )
         if self.deployment.kind == "metro":
             if self.deployment.blocks_x < 1 or self.deployment.blocks_y < 1:
                 raise SpecError("a metro deployment needs blocks_x >= 1 and blocks_y >= 1")

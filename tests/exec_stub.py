@@ -68,34 +68,34 @@ def die_unless_parent(parent_pid: int, value=0):
     return value
 
 
-def sleep_value(sleep_s: float, value=0):
-    """Sleeps, then returns — a shard with real (tunable) duration."""
-    time.sleep(sleep_s)
-    return value
+def die_later_unless_parent(parent_pid: int, die_after_s=None, value=0):
+    """Kills its worker process ``die_after_s`` seconds in; with
+    ``None`` (and always in-process) it just returns ``value``.
 
-
-def die_first_attempt(counter_path: str, parent_pid: int, value=0):
-    """Kills its worker process on the first call only (crash + retry).
-
-    The counter file is shared across worker processes, so the retry —
-    wherever it lands — sees call #2 and succeeds. Never kills the
-    orchestrator process itself (``parent_pid``).
+    Breaks a pool mid-run, after faster shards have already landed.
     """
-    if bump(counter_path) == 1 and os.getpid() != parent_pid:
+    if die_after_s is not None and os.getpid() != parent_pid:
+        time.sleep(die_after_s)
         os._exit(17)
     return value
 
 
-def freeze_first_attempt(counter_path: str, parent_pid: int, value=0):
-    """SIGSTOPs its own worker process on the first call only.
+# -- a stub experiment (shard protocol) for campaign-level tests ----------
 
-    A stopped worker keeps its pipes open but stops heartbeating —
-    exactly the "alive but wedged" failure the heartbeat watchdog
-    exists to catch (EOF detection never fires). Never freezes the
-    orchestrator process itself (``parent_pid``).
-    """
-    import signal
 
-    if bump(counter_path) == 1 and os.getpid() != parent_pid:
-        os.kill(os.getpid(), signal.SIGSTOP)
-    return value
+def shards(counter_dir: str, count: int = 5):
+    """``count`` shards, each counting its executions in its own file."""
+    from repro.exec.shards import Shard
+
+    return [
+        Shard(key=f"n={i}", params={"counter_path": os.path.join(counter_dir, str(i)), "value": i})
+        for i in range(count)
+    ]
+
+
+def run_shard(counter_path: str, value=0):
+    return count_calls(counter_path, value)
+
+
+def merge(results, **kwargs):
+    return {"values": list(results)}

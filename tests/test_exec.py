@@ -226,6 +226,46 @@ class TestFaultTolerance:
         assert [outcome.result for outcome in outcomes] == [0, 1, 2]
         assert all(outcome.source == SOURCE_INLINE for outcome in outcomes)
 
+    def test_pool_failures_exhausted_get_final_inline_attempt(self, tmp_path):
+        shards = [
+            Shard(
+                key=f"s{i}",
+                params={"counter_path": str(tmp_path / f"c{i}"), "fail_times": 2, "value": i},
+            )
+            for i in range(2)
+        ]
+        outcomes = execute_shards(STUB, "flaky", shards, quick_policy(jobs=2, max_retries=1))
+        assert [outcome.result for outcome in outcomes] == [0, 1]
+        assert [outcome.source for outcome in outcomes] == [SOURCE_INLINE] * 2
+        assert [outcome.attempts for outcome in outcomes] == [3, 3]  # 2 in the pool + 1 inline
+
+    def test_pool_break_mid_run_harvests_landed_results(self):
+        # s1 lands in the pool at once; s0 kills its worker a second
+        # later. The break surfaces while waiting on s0, which reruns
+        # inline; s1's result already landed and is kept, not rerun.
+        shards = [
+            Shard(key="s0", params={"parent_pid": os.getpid(), "die_after_s": 1.0, "value": 0}),
+            Shard(key="s1", params={"parent_pid": os.getpid(), "value": 1}),
+        ]
+        outcomes = execute_shards(
+            STUB, "die_later_unless_parent", shards, quick_policy(jobs=2, max_retries=1)
+        )
+        assert [outcome.result for outcome in outcomes] == [0, 1]
+        assert [outcome.source for outcome in outcomes] == [SOURCE_INLINE, SOURCE_POOL]
+        assert [outcome.attempts for outcome in outcomes] == [2, 1]
+
+    def test_pool_that_cannot_start_degrades_to_sequential(self, monkeypatch):
+        from repro.exec import workers
+
+        def refuse(**kwargs):
+            raise OSError("no worker processes here")
+
+        monkeypatch.setattr(workers, "ProcessPoolExecutor", refuse)
+        shards = [Shard(key=f"s{i}", params={"value": i}) for i in range(3)]
+        outcomes = execute_shards(STUB, "shard_value", shards, quick_policy(jobs=2))
+        assert [outcome.result for outcome in outcomes] == [0, 1, 2]
+        assert all(outcome.source == SOURCE_INLINE for outcome in outcomes)
+
 
 # -- campaign + CLI ------------------------------------------------------
 
@@ -289,6 +329,12 @@ class TestCampaignAndCli:
     def test_cli_rejects_bad_jobs(self):
         with pytest.raises(SystemExit):
             runner.main(["run", "fig3", "--jobs", "0"])
+
+    def test_cli_has_no_backend_flag(self):
+        # --jobs N is the only placement knob: shards run on one local pool.
+        with pytest.raises(SystemExit) as exit_info:
+            runner.main(["run", "fig6", "--fast", "--backend", "local:2"])
+        assert exit_info.value.code == 2
 
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):

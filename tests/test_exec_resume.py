@@ -1,8 +1,7 @@
 """Resumable campaigns: journal round-trips, kill-mid-run fault
 injection (``die_after``), and the headline acceptance check — a
 killed-then-resumed campaign skips completed shards via the cache and
-produces byte-identical results to an uninterrupted run, on every
-backend."""
+produces byte-identical results to an uninterrupted run."""
 
 import json
 
@@ -12,14 +11,12 @@ from repro.exec import (
     CampaignAborted,
     CampaignJournal,
     JournalError,
-    QueueDirBackend,
     ResultCache,
-    SubprocessSSHBackend,
     load_journal,
     run_campaign,
 )
-from repro.exec.backend.ssh import HostSpec
 from repro.exec.cache import canonical_text
+from tests.exec_stub import calls
 
 
 class TestJournal:
@@ -29,7 +26,6 @@ class TestJournal:
             journal.begin(
                 ["fig3", "model-gap"],
                 fast=True,
-                backend="queue:/spool",
                 cache_dir="/cache",
                 code_version="abc123",
             )
@@ -40,7 +36,6 @@ class TestJournal:
         state = load_journal(path)
         assert state.names == ["fig3", "model-gap"]
         assert state.fast is True
-        assert state.backend == "queue:/spool"
         assert state.cache_dir == "/cache"
         assert state.code_version == "abc123"
         assert state.plans == {"fig3": ["only"], "model-gap": ["s0", "s1"]}
@@ -54,7 +49,7 @@ class TestJournal:
     def test_end_record_marks_complete(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with CampaignJournal(path) as journal:
-            journal.begin(["fig3"], fast=True, backend=None, cache_dir=None, code_version="v")
+            journal.begin(["fig3"], fast=True, cache_dir=None, code_version="v")
             journal.plan("fig3", ["only"])
             journal.outcome("fig3", "only", "inline", 1, 0.5)
             journal.end(1, 0, 0.5)
@@ -67,7 +62,7 @@ class TestJournal:
         journal: everything before it must still parse."""
         path = tmp_path / "j.jsonl"
         with CampaignJournal(path) as journal:
-            journal.begin(["fig3"], fast=False, backend=None, cache_dir=None, code_version="v")
+            journal.begin(["fig3"], fast=False, cache_dir=None, code_version="v")
             journal.plan("fig3", ["only"])
             journal.outcome("fig3", "only", "inline", 1, 0.5)
         with open(path, "a", encoding="utf-8") as handle:
@@ -79,12 +74,34 @@ class TestJournal:
     def test_resume_records_are_counted(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with CampaignJournal(path) as journal:
-            journal.begin(["fig3"], fast=False, backend=None, cache_dir=None, code_version="v")
+            journal.begin(["fig3"], fast=False, cache_dir=None, code_version="v")
             journal.resume(0, 1)
             journal.resume(0, 1)
         state = load_journal(path)
         assert state.resumes == 2
         assert "2 prior resume(s)" in state.summary_line()
+
+    def test_begin_record_with_backend_field_still_loads(self, tmp_path):
+        # Journals once recorded a shard-placement spec in ``begin``.
+        path = tmp_path / "j.jsonl"
+        path.write_text(
+            json.dumps(
+                {
+                    "op": "begin",
+                    "names": ["fig3"],
+                    "fast": True,
+                    "backend": "queuedir:/spool?workers=2",
+                    "cache_dir": "/cache",
+                    "code_version": "v",
+                }
+            )
+            + "\n"
+        )
+        state = load_journal(path)
+        assert (state.names, state.fast, state.cache_dir) == (["fig3"], True, "/cache")
+        with CampaignJournal(path) as journal:
+            journal.begin(["fig3"], fast=True, cache_dir=None, code_version="v")
+        assert "backend" not in json.loads(path.read_text().splitlines()[1])
 
     def test_not_a_journal_raises(self, tmp_path):
         path = tmp_path / "notes.txt"
@@ -97,79 +114,46 @@ class TestJournal:
             load_journal(tmp_path / "absent.jsonl")
 
 
-def _backend_none(tmp_path):
-    return None
-
-
-def _backend_ssh(tmp_path):
-    return SubprocessSSHBackend([HostSpec("localhost", slots=2)], hb_interval=0.1)
-
-
-def _backend_queue(tmp_path):
-    return QueueDirBackend(tmp_path / "spool", workers=2)
-
-
-@pytest.mark.parametrize(
-    "make_backend",
-    [_backend_none, _backend_ssh, _backend_queue],
-    ids=["default-pool", "ssh-localhost", "queuedir"],
-)
 class TestKillResumeByteIdentity:
-    """The acceptance criterion, per backend: kill a campaign mid-run,
+    """The acceptance criterion: kill a pooled campaign mid-run,
     resume it against the same cache, and the merged result must be
     byte-identical to an uninterrupted run — with the completed prefix
     served from cache, never re-executed."""
 
     NAMES = ["model-gap"]  # 4 shards under --fast
 
-    def test_kill_then_resume(self, tmp_path, make_backend):
+    def test_kill_then_resume(self, tmp_path):
         clean = run_campaign(self.NAMES, fast=True, jobs=1)
         reference = canonical_text(clean.executions[0].result)
 
         cache = ResultCache(tmp_path / "cache", code_version="test")
         journal_path = tmp_path / "j.jsonl"
-        backend = make_backend(tmp_path)
-        try:
-            with CampaignJournal(journal_path) as journal:
-                journal.begin(self.NAMES, True, None, str(cache.root), "test")
-                with pytest.raises(CampaignAborted):
-                    run_campaign(
-                        self.NAMES,
-                        fast=True,
-                        jobs=2,
-                        cache=cache,
-                        backend=backend,
-                        journal=journal,
-                        die_after=2,
-                    )
-        finally:
-            if backend is not None:
-                backend.shutdown()
+        with CampaignJournal(journal_path) as journal:
+            journal.begin(self.NAMES, True, str(cache.root), "test")
+            with pytest.raises(CampaignAborted):
+                run_campaign(
+                    self.NAMES,
+                    fast=True,
+                    jobs=2,
+                    cache=cache,
+                    journal=journal,
+                    die_after=2,
+                )
 
         state = load_journal(journal_path)
         assert state.ended is False
         assert state.planned_shards == 4
-        assert 2 <= state.completed_shards < 4
+        assert state.completed_shards == 2
 
         resumed_cache = ResultCache(tmp_path / "cache", code_version="test")
-        backend = make_backend(tmp_path)
-        try:
-            with CampaignJournal(journal_path) as journal:
-                journal.resume(state.completed_shards, state.planned_shards)
-                resumed = run_campaign(
-                    self.NAMES,
-                    fast=True,
-                    jobs=2,
-                    cache=resumed_cache,
-                    backend=backend,
-                    journal=journal,
-                )
-        finally:
-            if backend is not None:
-                backend.shutdown()
+        with CampaignJournal(journal_path) as journal:
+            journal.resume(state.completed_shards, state.planned_shards)
+            resumed = run_campaign(
+                self.NAMES, fast=True, jobs=2, cache=resumed_cache, journal=journal
+            )
 
         # Every shard the killed run completed comes back from cache...
-        assert resumed.cache_hits >= 2
+        assert resumed.cache_hits == 2
         telemetry = resumed.executions[0].telemetry()
         assert telemetry["cached"] == resumed.cache_hits
         # ...and the merged output is byte-identical to the clean run.
@@ -179,6 +163,37 @@ class TestKillResumeByteIdentity:
         assert state.ended is True
         assert state.completed_shards == 4
         assert state.resumes == 1
+
+
+class TestAbortIsNotAShardFailure:
+    """An exception from the outcome callback — here the ``die_after``
+    abort — ends the campaign at once; it is never mistaken for a
+    failed shard and retried."""
+
+    def test_die_after_aborts_on_the_pool_without_rerunning(self, tmp_path, monkeypatch):
+        from repro.experiments import runner
+
+        monkeypatch.setitem(
+            runner.REGISTRY,
+            "stub",
+            {
+                "module": "tests.exec_stub",
+                "fast": {"counter_dir": str(tmp_path)},
+                "description": "counted stub shards",
+            },
+        )
+        journal_path = tmp_path / "j.jsonl"
+        with CampaignJournal(journal_path) as journal:
+            journal.begin(["stub"], True, None, "test")
+            with pytest.raises(CampaignAborted) as aborted:
+                run_campaign(["stub"], fast=True, jobs=2, journal=journal, die_after=3)
+        assert (aborted.value.completed, aborted.value.planned) == (3, 5)
+        # The third shard's outcome raised the abort: it ran once...
+        assert calls(str(tmp_path / "2")) == 1
+        # ...and every completed shard was journaled exactly once.
+        records = [json.loads(line) for line in journal_path.read_text().splitlines()]
+        keys = [record["key"] for record in records if record["op"] == "outcome"]
+        assert keys == ["n=0", "n=1", "n=2"]
 
 
 class TestEta:

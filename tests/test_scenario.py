@@ -193,6 +193,22 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match="'ap0': need 0 <= beta_min <= beta_max"):
             lab_spec().with_deployment(aps=aps).validated()
 
+    @pytest.mark.parametrize("kind", ["generated", "metro"])
+    @pytest.mark.parametrize(
+        "low, high, message",
+        [
+            (0.0, 0.0, "backhaul_bps_min must be positive"),
+            (-1e6, 1e6, "backhaul_bps_min must be positive"),
+            (2e6, 1e6, "need backhaul_bps_min <= backhaul_bps_max"),
+        ],
+    )
+    def test_deployment_backhaul_bounds_checked(self, kind, low, high, message):
+        spec = ScenarioSpec().with_deployment(
+            kind=kind, blocks_x=1, blocks_y=1, backhaul_bps_min=low, backhaul_bps_max=high
+        )
+        with pytest.raises(SpecError, match=message):
+            spec.validated()
+
     def test_ap_equal_beta_bounds_are_valid(self):
         aps = (ApSpec(name="ap0", channel=1, backhaul_bps=1e6, beta_min=0.0, beta_max=0.0),)
         lab_spec().with_deployment(aps=aps).validated()
@@ -601,6 +617,26 @@ class TestCli:
         text = lab_spec(duration=20.0).to_toml()
         assert good in text
         path = tmp_path / "bad-ap.toml"
+        path.write_text(text.replace(good, bad))
+        assert self.run_cli(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("backhaul_bps_min = 0.0\nbackhaul_bps_max = 0.0",
+             "backhaul_bps_min must be positive"),
+            ("backhaul_bps_min = 2000000.0\nbackhaul_bps_max = 1000000.0",
+             "need backhaul_bps_min <= backhaul_bps_max"),
+        ],
+    )
+    def test_malformed_generated_backhaul_exit_2(self, tmp_path, capsys, bad, message):
+        good = "backhaul_bps_min = 1000000.0\nbackhaul_bps_max = 10000000.0"
+        text = scenario("vehicular-amherst").to_toml()
+        assert good in text
+        path = tmp_path / "bad-backhaul.toml"
         path.write_text(text.replace(good, bad))
         assert self.run_cli(["run", str(path)]) == 2
         err = capsys.readouterr().err

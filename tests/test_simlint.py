@@ -606,72 +606,6 @@ class TestSpanGuard:
         assert clean.findings == []
 
 
-class TestBackendBoundary:
-    def test_subprocess_import_outside_backend_flagged(self):
-        run = lint(unit("import subprocess\n", module="repro.experiments.fig5"),
-                   select=["SL010"])
-        assert len(run.findings) == 1
-        assert "subprocess" in run.findings[0].message
-        assert "ExecutionBackend" in run.findings[0].message
-
-    def test_executor_import_outside_backend_flagged(self):
-        run = lint(unit(
-            "from concurrent.futures import ProcessPoolExecutor\n",
-            module="repro.exec.workers",
-        ), select=["SL010"])
-        assert len(run.findings) == 1
-        assert "ProcessPoolExecutor" in run.findings[0].message
-
-    def test_futures_exception_types_allowed_anywhere(self):
-        run = lint(unit(
-            "from concurrent.futures import TimeoutError, BrokenExecutor\n",
-            module="repro.exec.workers",
-        ), select=["SL010"])
-        assert run.findings == []
-
-    def test_os_spawn_calls_flagged(self):
-        run = lint(unit("""
-            import os
-            os.system("hostname")
-            pid = os.fork()
-        """, module="repro.analysis.tool"), select=["SL010"])
-        assert len(run.findings) == 2
-
-    def test_plain_os_use_ok(self):
-        run = lint(unit("""
-            import os
-            path = os.path.join("a", "b")
-            pid = os.getpid()
-        """, module="repro.analysis.tool"), select=["SL010"])
-        assert run.findings == []
-
-    def test_backend_package_exempt(self):
-        run = lint(unit("""
-            import subprocess
-            import socket
-            from concurrent.futures import ProcessPoolExecutor
-        """, module="repro.exec.backend.ssh"), select=["SL010"])
-        assert run.findings == []
-
-    def test_backend_allow_globs_exempt(self):
-        config = LintConfig(backend_allow=("repro.obs.*",))
-        source = "import subprocess\n"
-        exempt = lint(unit(source, module="repro.obs.report"), config=config, select=["SL010"])
-        flagged = lint(unit(source, module="repro.phy.medium"), config=config, select=["SL010"])
-        assert exempt.findings == []
-        assert len(flagged.findings) == 1
-
-    def test_backend_package_configurable(self):
-        config = LintConfig(backend_package="custom.exec")
-        source = "import multiprocessing\n"
-        inside = lint(unit(source, module="custom.exec.pool"), config=config, select=["SL010"])
-        outside = lint(
-            unit(source, module="repro.exec.backend.local"), config=config, select=["SL010"]
-        )
-        assert inside.findings == []
-        assert len(outside.findings) == 1
-
-
 class TestSuppressionsAndBaseline:
     def test_line_suppression_moves_finding_aside(self):
         run = lint(unit("""
@@ -759,8 +693,9 @@ class TestEngine:
         assert "SL003" not in rules and "SL001" in rules
 
     def test_all_documented_rules_registered(self):
-        documented = {f"SL{i:03d}" for i in range(15)}  # SL000–SL014
-        assert documented <= set(RULES)
+        # SL000–SL014; rule 10 (the retired backend-boundary check) is gone.
+        documented = {f"SL{i:03d}" for i in range(15) if i != 10}
+        assert {key for key in RULES if key.startswith("SL")} == documented
 
     def test_module_name_for_walks_packages(self, tmp_path):
         pkg = tmp_path / "pkg" / "sub"

@@ -1,6 +1,6 @@
 """astutil helpers (dotted names, import maps, relative-import
 resolution) and LintConfig parsing edge cases: unknown keys, bad value
-types, empty sections, fingerprint stability."""
+types, empty sections, retired keys."""
 
 import ast
 
@@ -10,7 +10,6 @@ from repro.analysis.astutil import ImportMap, dotted_name, resolve_relative
 from repro.analysis.config import (
     DEFAULT_HOT_ENTRYPOINTS,
     DEFAULT_SIM_SCOPE,
-    LintConfig,
     find_pyproject,
     load_config,
 )
@@ -151,20 +150,17 @@ class TestLoadConfig:
             'layers = ["pkg.sim", "pkg.exec"]\n'
             'layer-allow = ["pkg.sim -> pkg.exec.shards"]\n'
             'hot-entrypoints = ["pkg.sim.engine.Simulator.step"]\n'
-            'cache-path = ".cache/lint.json"\n'
         ))
         config = load_config(pyproject)
         assert config.layers == ("pkg.sim", "pkg.exec")
         assert config.layer_allow == ("pkg.sim -> pkg.exec.shards",)
         assert config.hot_entrypoints == ("pkg.sim.engine.Simulator.step",)
-        assert config.cache_path == ".cache/lint.json"
 
-    def test_fingerprint_tracks_policy_not_root(self, tmp_path):
-        a = LintConfig(root=tmp_path)
-        b = LintConfig(root=tmp_path / "elsewhere")
-        assert a.fingerprint() == b.fingerprint()
-        c = LintConfig(layers=("pkg.sim",))
-        assert c.fingerprint() != a.fingerprint()
+    @pytest.mark.parametrize("key", ["cache-path", "backend-package", "backend-allow"])
+    def test_retired_keys_rejected(self, tmp_path, key):
+        pyproject = self.write(tmp_path, f'[tool.simlint]\n{key} = "x"\n')
+        with pytest.raises(ValueError, match=f"unknown \\[tool.simlint\\] key\\(s\\): {key}"):
+            load_config(pyproject)
 
     def test_find_pyproject_walks_up(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text("")

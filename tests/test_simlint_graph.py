@@ -8,7 +8,7 @@ import textwrap
 from repro.analysis.config import LintConfig
 from repro.analysis.core import ModuleUnit
 from repro.analysis.engine import lint_units
-from repro.analysis.graph import ModuleFacts, build_graph, extract_facts
+from repro.analysis.graph import build_graph, extract_facts
 
 
 def unit(source, path="mod.py", module=None):
@@ -84,26 +84,6 @@ class TestFactsExtraction:
         """, module="pkg.m"))
         (fn,) = facts.functions
         assert any(c.callee == "os.environ" for c in fn.calls)
-
-    def test_facts_json_round_trip(self):
-        facts = extract_facts(unit("""
-            import time
-            from pkg import trace as tr
-            KIND = "layer.event"
-            class C:
-                def run(self):
-                    time.time()
-            make = lambda: 1
-            def go(trace):
-                trace.emit(tr.KIND)
-        """, module="pkg.m", path="pkg/m.py"))
-        restored = ModuleFacts.from_dict(facts.to_dict())
-        assert restored.to_dict() == facts.to_dict()
-        assert restored.constants == {"KIND": ("layer.event", 4)}
-        assert restored.lambda_assigns == {"make": 8}
-        assert [f.qualname for f in restored.functions] == [
-            f.qualname for f in facts.functions
-        ]
 
 
 class TestCallResolution:
