@@ -7,8 +7,8 @@ Exit codes follow lint-tool convention, pinned by tests:
   ``--strict-baseline``;
 - **2** — usage or configuration error: unknown ``[tool.simlint]``
   keys, a nonexistent path, an explicit ``--baseline`` that does not
-  exist, an unreadable baseline, an unknown rule selector, zero Python
-  files collected, or ``--changed`` outside a working git checkout.
+  exist, an unreadable baseline, an unknown rule selector, or zero
+  Python files collected.
 
 CI can gate on the code directly; ``--sarif`` additionally writes a
 SARIF 2.1.0 log for code-scanning upload.
@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from repro.analysis.baseline import Baseline
 from repro.analysis.config import LintConfig, find_pyproject, load_config
@@ -74,16 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 1) when the baseline holds entries nothing matched",
     )
     parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help="report findings only in files changed since the merge-base with REF "
-        "(default: uncommitted changes); the whole tree is still analysed so "
-        "project-scope rules see the full graph",
-    )
-    parser.add_argument(
         "--select",
         action="append",
         default=[],
@@ -99,31 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--list-rules", action="store_true", help="print registered rules and exit")
     return parser
-
-
-def _git(root: Path, *args: str) -> str:
-    proc = subprocess.run(
-        ["git", "-C", str(root), *args], capture_output=True, text=True
-    )
-    if proc.returncode != 0:
-        detail = proc.stderr.strip() or f"git {' '.join(args)} failed"
-        raise RuntimeError(detail)
-    return proc.stdout
-
-
-def changed_files(root: Path, ref: str) -> Set[Path]:
-    """Absolute paths of files changed relative to ``ref``.
-
-    ``ref == "HEAD"`` means the working tree's uncommitted changes;
-    any other ref diffs against ``merge-base(HEAD, ref)`` — the
-    changed-on-this-branch set, unpolluted by commits that landed on
-    ``ref`` since the branch point. Untracked files always count.
-    """
-    toplevel = Path(_git(root, "rev-parse", "--show-toplevel").strip())
-    base = ref if ref == "HEAD" else _git(root, "merge-base", "HEAD", ref).strip()
-    names = _git(root, "diff", "--name-only", base, "--").splitlines()
-    names += _git(root, "ls-files", "--others", "--exclude-standard").splitlines()
-    return {(toplevel / name).resolve() for name in names if name.strip()}
 
 
 def _report_text(run: LintRun, stale_shown: int = 5) -> None:
@@ -200,14 +164,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("simlint: no Python files to lint under the given paths", file=sys.stderr)
         return 2
 
-    changed: Optional[Set[Path]] = None
-    if args.changed is not None:
-        try:
-            changed = changed_files(root, args.changed)
-        except (RuntimeError, OSError) as error:
-            print(f"simlint: --changed needs a git checkout: {error}", file=sys.stderr)
-            return 2
-
     baseline_path = Path(args.baseline) if args.baseline else root / config.baseline
     if args.baseline and not args.write_baseline and not baseline_path.is_file():
         print(f"simlint: baseline {baseline_path} does not exist", file=sys.stderr)
@@ -232,11 +188,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (KeyError, ImportError) as error:
         print(f"simlint: {error}", file=sys.stderr)
         return 2
-
-    if changed is not None:
-        run.findings = [
-            f for f in run.findings if (root / f.path).resolve() in changed
-        ]
 
     if args.write_baseline:
         count = Baseline.write(baseline_path, run.findings, run.sources)

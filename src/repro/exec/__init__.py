@@ -16,26 +16,62 @@ CLI surface: ``spider-repro run <id> --jobs N [--cache-dir PATH]
 [--journal PATH] [--resume JOURNAL]``.
 """
 
-from repro.exec.cache import ResultCache, canonical_text
-from repro.exec.campaign import (
-    CampaignAborted,
-    CampaignResult,
-    ExperimentExecution,
-    campaign_manifest,
-    execute_experiment,
-    run_campaign,
-)
-from repro.exec.journal import CampaignJournal, JournalError, load_journal
-from repro.exec.shards import Shard, ShardPlan, build_plan, invoke_shard, supports_sharding
-from repro.exec.workers import (
-    SOURCE_CACHE,
-    SOURCE_INLINE,
-    SOURCE_POOL,
-    ExecPolicy,
-    ShardError,
-    ShardOutcome,
-    execute_shards,
-)
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.exec.cache import ResultCache, canonical_text
+    from repro.exec.campaign import (
+        CampaignAborted,
+        CampaignResult,
+        ExperimentExecution,
+        campaign_manifest,
+        execute_experiment,
+        run_campaign,
+    )
+    from repro.exec.journal import CampaignJournal, JournalError, load_journal
+    from repro.exec.shards import Shard, ShardPlan, build_plan, invoke_shard, supports_sharding
+    from repro.exec.workers import (
+        SOURCE_CACHE,
+        SOURCE_INLINE,
+        SOURCE_POOL,
+        ExecPolicy,
+        ShardError,
+        ShardOutcome,
+        execute_shards,
+    )
+
+#: Export → the submodule that defines it. Resolved on first access
+#: (PEP 562), so importing the shard vocabulary (``repro.exec.shards``),
+#: as every shardable experiment does, loads neither the campaign
+#: orchestrator nor the pool machinery.
+_EXPORTS = {
+    "ResultCache": "cache",
+    "canonical_text": "cache",
+    "CampaignAborted": "campaign",
+    "CampaignResult": "campaign",
+    "ExperimentExecution": "campaign",
+    "campaign_manifest": "campaign",
+    "execute_experiment": "campaign",
+    "run_campaign": "campaign",
+    "CampaignJournal": "journal",
+    "JournalError": "journal",
+    "load_journal": "journal",
+    "Shard": "shards",
+    "ShardPlan": "shards",
+    "build_plan": "shards",
+    "invoke_shard": "shards",
+    "supports_sharding": "shards",
+    "SOURCE_CACHE": "workers",
+    "SOURCE_INLINE": "workers",
+    "SOURCE_POOL": "workers",
+    "ExecPolicy": "workers",
+    "ShardError": "workers",
+    "ShardOutcome": "workers",
+    "execute_shards": "workers",
+}
 
 __all__ = [
     "CampaignAborted",
@@ -62,3 +98,13 @@ __all__ = [
     "run_campaign",
     "supports_sharding",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+

@@ -25,9 +25,9 @@ makes parallel output byte-identical to sequential output.
 from __future__ import annotations
 
 import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.exec.cache import ResultCache
 from repro.exec.shards import Shard, invoke_shard, invoke_shard_timed
@@ -37,6 +37,9 @@ from repro.obs.spans import (
     SPAN_EXEC_SHARDS,
     current_profiler,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: How a shard's result was obtained.
 SOURCE_CACHE = "cache"
@@ -162,6 +165,10 @@ def execute_shards(
         if policy.jobs <= 1 or len(pending) == 1:
             _run_inline(module_name, func_name, shards, pending, policy, experiment, finish)
             return
+        # Imported here: it loads ``multiprocessing``, which a run that
+        # never starts a pool should not pay for.
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             pool = ProcessPoolExecutor(max_workers=min(policy.jobs, len(pending)))
         except (OSError, ValueError):

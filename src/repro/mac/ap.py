@@ -111,7 +111,6 @@ class AccessPoint:
         self._rng = rng
         self.radio = Radio(medium, StaticMobility(position), channel, name=name, address=name)
         self.radio.on_receive = self._on_frame
-        self.radio.on_unicast_failure = self._on_tx_failure
         # Per-client state: shared empty stand-ins until a client frame
         # arrives. A city-scale world has thousands of APs that only
         # ever hear each other's beacons.
@@ -144,6 +143,10 @@ class AccessPoint:
         """Give this AP its own per-client containers (first client frame)."""
         if self.on_first_client is not None:
             self.on_first_client(self.name)
+        # The AP's unicast frames answer client frames, and before the
+        # first one ``_on_tx_failure`` has no associated client to
+        # park a frame for: a cold AP's radio carries no hook.
+        self.radio.on_unicast_failure = self._on_tx_failure
         self.authenticated = set()
         self.associated = set()
         self._psm_mode = set()

@@ -72,7 +72,17 @@ def _data_frame_type() -> Any:
 
 
 class Radio:
-    """One 802.11 card attached to a (possibly mobile) node."""
+    """One 802.11 card attached to a (possibly mobile) node.
+
+    Slotted: a city-scale world holds one per AP.
+    """
+
+    __slots__ = (
+        "medium", "sim", "mobility", "channel", "name", "address", "on_receive",
+        "deaf_until", "frames_sent", "frames_received", "frames_lost", "tx_airtime",
+        "rx_airtime", "deaf_time", "last_rssi", "on_unicast_failure", "reg_seq",
+        "_static", "_position_time", "_position_value", "_grid_cell", "_horizons", "_links",
+    )
 
     def __init__(
         self,
@@ -274,7 +284,8 @@ class Medium:
         #: orthogonal 1/6/11: frames near an active channel 3 or 9 pay.
         self.adjacent_channel_loss = adjacent_channel_loss
         self._radios: Dict[Radio, None] = {}
-        self._by_address: Dict[str, List[Radio]] = {}
+        #: Tuples, not lists: almost every address has one radio.
+        self._by_address: Dict[str, Tuple[Radio, ...]] = {}
         self._registrations = 0
         #: Bumped by every ``register``/``unregister``: the validity
         #: stamp of the unicast link cache (``_link``), since either can
@@ -367,7 +378,8 @@ class Medium:
         self._address_epoch += 1
         self._radios[radio] = None
         radio._repin()
-        self._by_address.setdefault(radio.address, []).append(radio)
+        address = radio.address
+        self._by_address[address] = self._by_address.get(address, ()) + (radio,)
         self._index_add(radio, radio.channel)
         self._invalidate(radio.channel, radio._static)
 
@@ -378,12 +390,12 @@ class Medium:
         self._address_epoch += 1
         self._index_remove(radio, radio.channel)
         self._invalidate(radio.channel, radio._static)
-        peers = self._by_address.get(radio.address)
-        if peers is not None:
-            if radio in peers:
-                peers.remove(radio)
-            if not peers:
-                del self._by_address[radio.address]
+        address = radio.address
+        peers = tuple(peer for peer in self._by_address.get(address, ()) if peer is not radio)
+        if peers:
+            self._by_address[address] = peers
+        else:
+            self._by_address.pop(address, None)
 
     def _retune(self, radio: Radio, old_channel: int, new_channel: int) -> None:
         """Move a radio's index entries between channels (``Radio.set_channel``)."""
@@ -515,9 +527,7 @@ class Medium:
             self._airtime_memo[key] = cached
         return cached
 
-    def broadcast(
-        self, sender: Radio, frame: Any, attempt: int = 1, airtime: Optional[float] = None
-    ) -> None:
+    def broadcast(self, sender: Radio, frame: Any, airtime: Optional[float] = None) -> None:
         """Serialise the frame onto the channel and schedule deliveries.
 
         The channel is FIFO: the transmission starts when the channel
@@ -550,7 +560,7 @@ class Medium:
             if unacked:
                 sim.schedule(delay, self._deliver_broadcast, sender, frame, channel, airtime)
             else:
-                sim.schedule(delay, self._deliver_unicast, sender, frame, channel, attempt)
+                sim.schedule(delay, self._deliver_unicast, sender, frame, channel, 1)
             return
         lanes = self._air_lanes.get(channel)
         if lanes is None:
@@ -561,7 +571,7 @@ class Medium:
         if unacked:
             lanes[0].push(delay, sender, frame, channel, airtime)
         else:
-            lanes[1].push(delay, sender, frame, channel, attempt)
+            lanes[1].push(delay, sender, frame, channel, 1)
 
     def channel_busy_until(self, channel: int) -> float:
         return self._channel_busy_until.get(channel, 0.0)

@@ -129,14 +129,21 @@ class Lane:
     minimum over everything scheduled and every event pops where a
     plain ``schedule`` call would have put it.
 
-    Waiting events are stored flat in one deque (``time, seq`` and the
-    ``arity`` arguments; the head's arguments alone), so a deep lane
-    allocates no per-event container for the collector to track. A
-    lane cannot cancel: a callback that may be moot checks its own
-    state when it fires.
+    Waiting events are stored flat in one deque (``time``, the sequence
+    gap and the ``arity`` arguments; the head's arguments alone), so a
+    deep lane allocates no per-event container for the collector to
+    track. The gap is the event's ``seq`` minus that of the event
+    pushed before it, which is its predecessor in the lane: when the
+    event becomes the head, its ``seq`` is the old head's plus the
+    gap. A gap of 256 or less is one of CPython's cached small ints,
+    so a waiting event allocates no ``int`` for its key. A lane cannot
+    cancel: a callback that may be moot checks its own state when it
+    fires.
     """
 
-    __slots__ = ("callback", "arity", "_queue", "_take", "_last", "_sim", "_heap", "_next_seq")
+    __slots__ = (
+        "callback", "arity", "_queue", "_take", "_last", "_last_seq", "_sim", "_heap", "_next_seq",
+    )
 
     def __init__(self, sim: "Simulator", callback: Callable[..., Any], arity: int):
         if arity != 1 and arity not in _TAKE:
@@ -147,6 +154,9 @@ class Lane:
         self._take = _TAKE.get(arity)
         #: The time of the latest push: the next one must not be earlier.
         self._last = -math.inf
+        #: The sequence number of the latest push: the next one's gap
+        #: is taken from it.
+        self._last_seq = 0
         self._sim = sim
         self._heap = sim._heap
         self._next_seq = sim._sequence.__next__
@@ -166,13 +176,16 @@ class Lane:
             # also keeps the event out of the past.
             if time < self._last:
                 raise SimulationError(f"lane keys must not decrease ({time} < {self._last})")
+            seq = self._next_seq()
             queue.append(time)
-            queue.append(self._next_seq())
+            queue.append(seq - self._last_seq)
         else:
             if delay < 0:
                 raise SimulationError(f"cannot schedule in the past (delay={delay})")
-            heapq.heappush(self._heap, (time, self._next_seq(), self, None))
+            seq = self._next_seq()
+            heapq.heappush(self._heap, (time, seq, self, None))
         self._last = time
+        self._last_seq = seq
         queue.append(arg)
         if more:
             queue.extend(more)
@@ -182,17 +195,17 @@ class Lane:
         size = len(self._queue)
         return (size - self.arity) // (self.arity + 2) + 1 if size else 0
 
-    def _advance(self) -> Tuple[Any, ...]:
+    def _advance(self, seq: int) -> Tuple[Any, ...]:
         """Pop the head's arguments and put the next key on the heap.
 
-        The head must be at the top of the heap. The run loop inlines
-        this; :meth:`Simulator.step` calls it.
+        The head, keyed ``seq``, must be at the top of the heap. The
+        run loop inlines this; :meth:`Simulator.step` calls it.
         """
         queue = self._queue
         take = queue.popleft
         args = (take(),) if self._take is None else self._take(take)
         if queue:
-            heapq.heapreplace(self._heap, (take(), take(), self, None))
+            heapq.heapreplace(self._heap, (take(), seq + take(), self, None))
         else:
             heapq.heappop(self._heap)
         return args
@@ -497,7 +510,7 @@ class Simulator:
             time, seq, callback, args = heap[0]
             if args is None:
                 if callback._queue is not None:
-                    args = callback._advance()
+                    args = callback._advance(seq)
                     callback = callback.callback
                 elif callback.cancelled:
                     heapq.heappop(heap)
@@ -553,7 +566,8 @@ class Simulator:
         plain entry fires straight from its tuple. A lane head (``args``
         is ``None``, the callback slot holds a :class:`Lane`) fires the
         lane's callback with the arguments popped off the lane's queue,
-        after the next queued key has taken its heap slot in one
+        after the next queued key (its ``seq`` rebuilt from the head's
+        and the stored gap) has taken its heap slot in one
         ``heapreplace`` (``Lane._advance``, inlined). A cancellable
         entry fires through its handle, which is marked consumed first,
         unless its key is stale (``reschedule``): then it goes back on
@@ -599,7 +613,7 @@ class Simulator:
                     spread = callback._take
                     args = take() if spread is None else spread(take)
                     if queue:
-                        replace(heap, (take(), take(), callback, None))
+                        replace(heap, (take(), seq + take(), callback, None))
                     else:
                         pop(heap)
                     if spread is None:

@@ -28,7 +28,7 @@ AMHERST_CHANNEL_MIX: Dict[int, float] = {1: 0.28, 6: 0.33, 11: 0.34, 3: 0.03, 9:
 BOSTON_CHANNEL_MIX: Dict[int, float] = {1: 0.24, 6: 0.39, 11: 0.20, 3: 0.09, 9: 0.08}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApSite:
     """One generated access point site."""
 

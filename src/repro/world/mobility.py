@@ -20,6 +20,9 @@ from repro.world.geometry import Point, interpolate
 class MobilityModel:
     """Interface: position as a function of time."""
 
+    #: Subclasses may declare slots; those that do not get a ``__dict__``.
+    __slots__ = ()
+
     #: An upper bound on speed (m/s) over all time: |p(t2) - p(t1)| <=
     #: max_speed * |t2 - t1|. ``None`` means unknown; the PHY never
     #: skips a receiver whose model does not state a bound (DESIGN.md
@@ -47,6 +50,8 @@ class MobilityModel:
 
 class StaticMobility(MobilityModel):
     """A node that never moves (indoor / laboratory experiments)."""
+
+    __slots__ = ("_point",)
 
     max_speed = 0.0
 

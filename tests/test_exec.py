@@ -6,9 +6,13 @@ processes can import them by module path.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.exec import (
     ExecPolicy,
     ResultCache,
@@ -255,12 +259,13 @@ class TestFaultTolerance:
         assert [outcome.attempts for outcome in outcomes] == [2, 1]
 
     def test_pool_that_cannot_start_degrades_to_sequential(self, monkeypatch):
-        from repro.exec import workers
+        import concurrent.futures
 
         def refuse(**kwargs):
             raise OSError("no worker processes here")
 
-        monkeypatch.setattr(workers, "ProcessPoolExecutor", refuse)
+        # ``execute_shards`` imports the pool class when it starts one.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         shards = [Shard(key=f"s{i}", params={"value": i}) for i in range(3)]
         outcomes = execute_shards(STUB, "shard_value", shards, quick_policy(jobs=2))
         assert [outcome.result for outcome in outcomes] == [0, 1, 2]
@@ -362,3 +367,25 @@ class TestCampaignAndCli:
 
         with pytest.raises(ValueError, match="no shards"):
             build_plan("empty", Empty, {})
+
+
+# -- import cost -----------------------------------------------------------
+
+
+class TestImportCost:
+    def test_experiment_import_leaves_multiprocessing_unloaded(self):
+        """Shardable experiments import the shard vocabulary, not the pool."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = (
+            "import sys\n"
+            "import repro.experiments.tab2_throughput_connectivity\n"
+            "import repro.exec\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process',"
+            " 'repro.exec.workers', 'repro.exec.campaign') if m in sys.modules))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"

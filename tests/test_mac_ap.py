@@ -326,6 +326,23 @@ class TestPsm:
         sim.run()
         assert got == ["raced"]
 
+    def test_failure_hook_is_set_by_the_first_client_frame(self):
+        """A cold AP's radio has no hook; a client's ARQ failure still parks."""
+        sim, medium = make_world()
+        ap = make_ap(sim, medium)
+        ap.start()
+        sim.run(until=0.5)  # beaconing alone leaves the AP cold
+        assert ap.radio.on_unicast_failure is None
+        client = make_client(medium)
+        join(sim, ap, client)
+        assert ap.radio.on_unicast_failure == ap._on_tx_failure
+        client.transmit(frames.null_data("cli", ap.name, pm=True))
+        sim.run(until=sim.now + 0.5)
+        client.set_channel(6)
+        ap.radio.transmit(frames.data_frame(ap.name, "cli", "raced", 500))
+        sim.run(until=sim.now + 0.5)
+        assert [frame.payload for frame in ap._retry_buffers["cli"]] == ["raced"]
+
     def test_failed_frame_dropped_for_silent_departure(self):
         """Without a PSM announcement the AP gives no buffering."""
         sim, _, ap, client = self._associated()

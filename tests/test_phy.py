@@ -322,6 +322,37 @@ class TestMediumIndexes:
         medium.register(a)
         assert [r.address for r in medium.radios_on_channel(1)] == ["b", "c", "a"]
 
+    def test_first_with_address_across_unregister_and_reregister(self):
+        sim, medium = _world()
+        sender = _radio(medium, 0, name="s")
+        a, b, c = (
+            Radio(medium, StaticMobility(Point(x, 0.0)), 1, name=name, address="dup")
+            for x, name in ((5, "a"), (9, "b"), (12, "c"))
+        )
+        assert medium._by_address["dup"] == (a, b, c)
+        assert medium._first_with_address("dup", sender) is a
+        assert medium._first_with_address("dup", a) is b
+        medium.unregister(a)
+        assert medium._first_with_address("dup", sender) is b
+        # Re-registering is a new registration: a now comes last.
+        medium.register(a)
+        assert medium._by_address["dup"] == (b, c, a)
+        assert medium._first_with_address("dup", b) is c
+        medium.unregister(c)
+        medium.unregister(c)  # a second unregister is a no-op
+        assert medium._first_with_address("dup", b) is a
+        medium.unregister(a)
+        medium.unregister(b)
+        assert "dup" not in medium._by_address
+        assert medium._first_with_address("dup", sender) is None
+
+    def test_radio_has_no_instance_dict(self):
+        sim, medium = _world()
+        radio = _radio(medium, 0)
+        assert not hasattr(radio, "__dict__")
+        with pytest.raises(AttributeError):
+            radio.extra = 1
+
     def test_unregistered_radio_may_retune_freely(self):
         sim, medium = _world()
         a = _radio(medium, 0, channel=1, name="a")

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -610,6 +612,106 @@ class TestLaneInterleavings:
         sim.run(until=0.5)
         assert log == ["a", "b", "c", "d", "plain"]
         assert len(beacons) == 0 and sim.pending_events == 0 and sim.heap_depth == 0
+
+
+def _gapped(ops, laned, drive):
+    """Push lane events whose sequence gaps straddle CPython's small-int cache.
+
+    ``ops[i] = (parent, lane, gap, delay)``: op ``i`` is issued at t=0
+    when ``parent == -1``, else when op ``parent``'s lane event fires.
+    Issuing it schedules ``gap`` plain events and then one event on
+    lane ``lane``, all at ``delay`` after that lane's previous push or
+    now, whichever is later: they tie exactly, and each plain call
+    draws a sequence number between the lane's two pushes. Without
+    ``laned`` the lane event is a plain ``schedule`` call too.
+    """
+    sim = Simulator()
+    log = []
+    children = {}
+    for op, (parent, *_rest) in enumerate(ops):
+        children.setdefault(parent, []).append(op)
+    tails = {}
+
+    def fire(tag):
+        log.append((sim.now, tag))
+        if tag[0] == "lane":
+            issue(children.get(tag[1], ()))
+
+    lanes = {k: sim.lane(k, fire) for k in range(2)}
+
+    def issue(batch):
+        for op in batch:
+            _parent, k, gap, delay = ops[op]
+            end = max(tails.get(k, 0.0), sim.now) + delay
+            tails[k] = end
+            for j in range(gap):
+                sim.schedule(end - sim.now, fire, ("plain", op, j))
+            if laned:
+                lanes[k].push(end - sim.now, ("lane", op))
+            else:
+                sim.schedule(end - sim.now, fire, ("lane", op))
+
+    issue(children.get(-1, ()))
+    drive(sim)
+    assert sim.pending_events == 0 and sim.heap_depth == 0
+    return log, sim.now, sim.events_executed
+
+
+class TestLaneSequenceGaps:
+    """A waiting lane event keeps its ``seq`` as the gap from its predecessor's."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_gapped_pushes_fire_like_plain_schedule(self, data):
+        body = data.draw(st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.sampled_from([0, 1, 255, 256, 257, 600]),
+                st.sampled_from([0.0, 0.5]),
+            ),
+            min_size=1, max_size=12,
+        ))
+        ops = [(data.draw(st.integers(-1, i - 1)), *op) for i, op in enumerate(body)]
+        reference = _gapped(ops, laned=False, drive=_drive_run)
+        assert _gapped(ops, laned=True, drive=_drive_run) == reference
+        assert _gapped(ops, laned=True, drive=_drive_step) == reference
+
+    def test_a_gap_past_the_small_int_cache_rebuilds_the_key(self):
+        sim = Simulator()
+        log = []
+        lane = sim.lane("log", log.append)
+        sim.schedule(0.5, log.append, "first")
+        lane.push(1.0, "head")  # seq 1
+        for i in range(300):
+            sim.schedule(1.0, log.append, i)
+        lane.push(1.0, "second")  # seq 302
+        sim.schedule(1.0, log.append, "last")
+        assert list(lane._queue) == ["head", 1.0, 301, "second"]
+        sim.step()
+        sim.step()
+        # The second push now heads the lane under its own key.
+        assert (1.0, 302, lane, None) in sim._heap
+        sim.run()
+        assert log == ["first", "head", *range(300), "second", "last"]
+
+    def test_a_queued_one_argument_event_costs_under_64_bytes(self):
+        """Its time, its gap (a cached small int) and its argument slot."""
+        sim = Simulator()
+        lanes = [sim.lane(k, lambda arg: None) for k in range(2)]
+        for lane in lanes:
+            lane.push(1.0, None)  # the heads
+        count = 20_000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(count):
+                # Alternating lanes: every gap is 2.
+                lanes[i % 2].push(1.0 + i * 1e-3, None)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(len(lane) for lane in lanes) == count + 2
+        assert grown / count < 64
 
 
 def _lane_routes(kinds, times):

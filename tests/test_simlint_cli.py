@@ -1,9 +1,8 @@
-"""The simlint CLI: --changed mode, SARIF export, and the exit-code
+"""The simlint CLI: SARIF export and the exit-code
 taxonomy (0 clean / 1 findings / 2 usage-config error, plus
 --strict-baseline)."""
 
 import json
-import subprocess
 import textwrap
 
 import pytest
@@ -34,51 +33,6 @@ def project(tmp_path, monkeypatch):
     (src / "clean.py").write_text("VALUE = 1\n")
     monkeypatch.chdir(tmp_path)
     return tmp_path
-
-
-class TestChangedMode:
-    def git(self, cwd, *args):
-        subprocess.run(
-            ["git", "-C", str(cwd), *args], check=True, capture_output=True, text=True
-        )
-
-    def init_repo(self, project):
-        self.git(project, "init", "-q")
-        self.git(project, "config", "user.email", "t@example.com")
-        self.git(project, "config", "user.name", "t")
-        self.git(project, "add", "-A")
-        self.git(project, "commit", "-q", "-m", "seed")
-
-    def test_changed_reports_only_touched_files(self, project, capsys):
-        self.init_repo(project)
-        # Both files now violate SL002, but only shaper.py is new.
-        (project / "src" / "pkg" / "shaper.py").write_text(
-            "import time\nlater = time.time()\n"
-        )
-        assert cli_main(["--changed"]) == 1
-        out = capsys.readouterr().out
-        assert "shaper.py" in out
-        assert "clock.py" not in out  # committed before the diff base
-
-    def test_changed_against_branch_merge_base(self, project, capsys):
-        self.init_repo(project)
-        self.git(project, "checkout", "-q", "-b", "feature")
-        (project / "src" / "pkg" / "shaper.py").write_text(
-            "import time\nlater = time.time()\n"
-        )
-        self.git(project, "add", "-A")
-        self.git(project, "commit", "-q", "-m", "add shaper")
-        assert cli_main(["--changed", "master"]) == 1
-        out = capsys.readouterr().out
-        assert "shaper.py" in out and "clock.py" not in out
-
-    def test_changed_with_clean_diff_exits_0(self, project, capsys):
-        self.init_repo(project)
-        assert cli_main(["--changed"]) == 0
-
-    def test_changed_outside_git_exits_2(self, project, capsys):
-        assert cli_main(["--changed"]) == 2
-        assert "git" in capsys.readouterr().err
 
 
 #: Trimmed-down JSON Schema for the SARIF 2.1.0 surface simlint emits;

@@ -1,5 +1,6 @@
 """Unit tests for geometry, mobility, and deployment generation."""
 
+import pickle
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.world.deployment import (
+    ApSite,
     DeploymentConfig,
     generate_deployment,
 )
@@ -51,6 +53,23 @@ class TestGeometry:
         origin = Point(0, 0)
         a, b = Point(x1, y1), Point(x2, y2)
         assert distance(origin, b) <= distance(origin, a) + distance(a, b) + 1e-6
+
+
+class TestSlots:
+    """A city-scale world holds one of each per AP: none carries a ``__dict__``."""
+
+    def test_fleet_objects_have_no_instance_dict(self):
+        site = ApSite("ap0", Point(1.0, 2.0), 6, 1e6, 0.1, 1.0)
+        for value in (Point(1.0, 2.0), site, StaticMobility(Point(0.0, 0.0))):
+            assert not hasattr(value, "__dict__"), type(value).__name__
+
+    def test_slotted_dataclasses_stay_frozen_and_picklable(self):
+        site = ApSite("ap0", Point(1.0, 2.0), 6, 1e6, 0.1, 1.0, open_access=False)
+        assert pickle.loads(pickle.dumps(site)) == site
+        assert pickle.loads(pickle.dumps(site.position)) == Point(1.0, 2.0)
+        assert hash(Point(1.0, 2.0)) == hash(pickle.loads(pickle.dumps(Point(1.0, 2.0))))
+        with pytest.raises(AttributeError):
+            site.position.x = 3.0
 
 
 class TestMobility:
